@@ -197,8 +197,8 @@ def test_stacked_evaluator_speedup():
     Times the two CKKS hot paths of ISSUE 4 on a real context at
     ``n = ENGINE_N``, ``L = 8`` limbs (level 7): the hoisted-rotation
     inner step (one stacked digit gather + one Shoup MAC pass per
-    accumulator + stacked pair ModDown) and multiply+rescale (stacked
-    digit NTTs, pair BConv, pair rescale round trip).  Both paths are
+    accumulator + stacked ModDown) and multiply+rescale (stacked
+    digit NTTs, stacked BConv, NTT-domain rescale).  Both paths are
     checked bitwise-equal before timing, so the table is a pure
     dataflow comparison; the acceptance bar is >= 1.3x on the
     hoisted-rotation inner step.

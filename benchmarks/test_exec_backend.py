@@ -30,8 +30,8 @@ import os
 
 import numpy as np
 
+from repro import obs
 from repro.compiler.exec_backend import (
-    ENV_EXEC_PROFILE,
     execute_interpreted,
     execute_packed,
     synthesize_bindings,
@@ -175,17 +175,21 @@ def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch):
     strictly dominates elementwise wall in both compiles), not the
     noisy ratio.
     """
-    monkeypatch.setenv(ENV_EXEC_PROFILE, "1")
     lp = LoweringParams(n=2048, levels=7, dnum=2, log_q=30)
     packed = PackedProgram.from_program(
         build_dblookup_program(lp, squarings=8, name="db-neutral"))
     bindings = synthesize_bindings(packed)
 
     results = {}
-    for fuse in (True, False):
-        compiled = compile_packed(packed.copy(),
-                                  CompileOptions(mac_fusion=fuse))
-        results[fuse] = execute_packed(compiled, bindings)
+    # The enabled tracer fills the per-step profile.
+    monkeypatch.setattr(obs.TRACER, "enabled", True)
+    try:
+        for fuse in (True, False):
+            compiled = compile_packed(packed.copy(),
+                                      CompileOptions(mac_fusion=fuse))
+            results[fuse] = execute_packed(compiled, bindings)
+    finally:
+        obs.TRACER.drain()
     fused, plain = results[True], results[False]
 
     assert fused.instructions < plain.instructions, \

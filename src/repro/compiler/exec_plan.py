@@ -817,16 +817,14 @@ def _step_row_traffic(st: PlanStep) -> tuple[int, int]:
     return read, written
 
 
-def replay_plan(plan: ExecPlan, bindings, *, profile: bool = False):
+def replay_plan(plan: ExecPlan, bindings):
     """Execute a plan; returns ``(outputs, wall_s, profile_dict)``.
 
-    ``profile_dict`` is ``None`` unless ``profile`` is set or the
-    global tracer is enabled, in which case it maps a step label to
-    ``[wall_s, instructions]``.  Three loops, fastest first:
+    ``profile_dict`` is ``None`` unless the global tracer is enabled,
+    in which case it maps a step label to ``[wall_s, instructions]``.
+    Two loops:
 
-    * neither: the bare step loop — no clock reads inside;
-    * ``profile`` only: one clock read around each step (the legacy
-      ``REPRO_EXEC_PROFILE`` payload);
+    * untraced: the bare step loop — no clock reads inside;
     * tracing: one clock read **per step boundary**, so each span's
       duration runs boundary-to-boundary and the instrumentation cost
       itself is attributed into step durations rather than falling
@@ -876,21 +874,6 @@ def replay_plan(plan: ExecPlan, bindings, *, profile: bool = False):
         tr.count("exec.bytes_scattered", rows_written * row_bytes)
         if plan.spill_reloads:
             tr.count("exec.spill_reloads", plan.spill_reloads)
-    elif profile:
-        prof = {}
-        for st in plan.steps:
-            ts = perf_counter()
-            _exec_step(st, arena, bindings, n)
-            dt = perf_counter() - ts
-            acc = prof.get(st.label)
-            if acc is None:
-                prof[st.label] = [dt, st.n_instrs]
-            else:
-                acc[0] += dt
-                acc[1] += st.n_instrs
-        outputs = {vid: arena[row].copy()
-                   for vid, row in plan.output_rows}
-        wall = perf_counter() - t0
     else:
         for st in plan.steps:
             _exec_step(st, arena, bindings, n)

@@ -22,8 +22,6 @@ Known variables (the canonical registry):
                            (:mod:`repro.compiler.verify`) during
                            compilation and plan build
 ``REPRO_SCRATCH_DEBUG``    poison NTT scratch buffers on acquire
-``REPRO_EXEC_PROFILE``     deprecated profiling alias (see
-                           :mod:`repro.compiler.exec_backend`)
 ``REPRO_STORE_DIR``        activate the persistent artifact store
 ``REPRO_STORE_MAX_BYTES``  artifact-store size bound (bytes)
 ``REPRO_SWEEP_START_METHOD``  multiprocessing start method

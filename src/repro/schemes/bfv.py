@@ -221,10 +221,9 @@ class BfvEvaluator(RnsEvaluatorBase):
             np.concatenate([d0, d1, d2]))
         dq = self._scale_round_stack(d_coeff, 3)
         d01 = self.kernels.engine((q, q)).forward(dq[:2 * lq])
-        d2p = RnsPolynomial(q, np.ascontiguousarray(dq[2 * lq:]),
-                            is_ntt=False)
-        ks_pair, _ = self._key_switch_pair(d2p, self.keys.relin)
-        out = (d01 + ks_pair) % _pair_col(q.q_col)
+        ks, _ = self._key_switch_batch(dq[2 * lq:], self.keys.relin,
+                                       lq - 1, 1)
+        out = (d01 + ks) % _pair_col(q.q_col)
         return type(x).from_pair(q, out, x.scale, is_ntt=True)
 
     def _multiply_reference(self, x: Ciphertext,

@@ -4,7 +4,7 @@ EFFACT supports BGV through the same residue-polynomial ISA (paper
 section VI-D evaluates HElib's DB-lookup on BGV).  This module builds
 BGV directly on :class:`repro.schemes.rns_core.RnsEvaluatorBase`, so
 multiplication, rotations and hoisting ride the batched ``(2L, N)``
-hot path — the same stacked digit lifts, Shoup key MACs and pair-wide
+hot path — the same stacked digit lifts, Shoup key MACs and stack-wide
 BConv the CKKS evaluator uses — with two BGV-specific twists:
 
 * **keys carry ``t*e`` noise** (:class:`BgvKeyGenerator`), and the
@@ -61,7 +61,6 @@ from .rns_core import (
     SecretKey,
     SwitchingKey,
     _batch_q_col,
-    _pair_col,
     _scale_by_inv_batch,
 )
 
@@ -255,34 +254,11 @@ class BgvEvaluator(RnsEvaluatorBase):
         p_mod_q = reduce_mod_col(ctx.p_basis.modulus, q_basis.primes)
         return (cen_q + p_mod_q * lam) % q_basis.q_col
 
-    def _mod_down_pair_stacked(self, acc_pair: np.ndarray, ext: RnsBasis,
-                               q_basis: RnsBasis) -> np.ndarray:
-        """NTT-domain ModDown of the accumulator pair with the
-        ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
-        version; same dataflow, exact arithmetic)."""
-        ctx = self.context
-        n = ctx.n
-        p_basis = ctx.p_basis
-        l1 = len(q_basis)
-        ext_limbs = len(ext)
-        acc_p = np.concatenate([acc_pair[l1:ext_limbs],
-                                acc_pair[ext_limbs + l1:]])
-        coeff_p = stacked_engine(n, (p_basis, p_basis)).inverse(acc_p)
-        wide = _stack_to_wide(coeff_p, len(p_basis), 2)
-        corr = _wide_to_stack(self._moddown_delta(wide, q_basis), 2)
-        corr_ntt = stacked_engine(n, (q_basis, q_basis)).forward(corr)
-        acc_q = np.concatenate([acc_pair[:l1],
-                                acc_pair[ext_limbs:ext_limbs + l1]])
-        p_inv_col = inverse_mod_col(p_basis.modulus, q_basis.primes)
-        q2_col = _pair_col(q_basis.q_col)
-        return (acc_q - corr_ntt) % q2_col * _pair_col(p_inv_col) % q2_col
-
     def _mod_down_batch_stacked(self, acc: np.ndarray, ext: RnsBasis,
                                 q_basis: RnsBasis, k: int) -> np.ndarray:
         """NTT-domain ModDown of ``k`` accumulator pairs with the
-        ``t``-multiple correction (the batch row of
-        :meth:`_mod_down_pair_stacked`; same dataflow, exact
-        arithmetic)."""
+        ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
+        version; same dataflow, exact arithmetic)."""
         ctx = self.context
         n = ctx.n
         p_basis = ctx.p_basis
@@ -402,7 +378,7 @@ class BgvEvaluator(RnsEvaluatorBase):
             q_last = basis.primes[-1]
             stack, basis = self.kernels.switch_down_ntt(
                 stack, basis, 2 * batch.k,
-                delta_fn=self._switch_delta(q_last), dedupe=True)
+                delta_fn=self._switch_delta(q_last))
             inv = pow(q_last, -1, t)
             factors = [f * inv % t for f in factors]
         return CiphertextBatch(basis=basis, stack=stack,

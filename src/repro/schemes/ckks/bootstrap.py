@@ -120,12 +120,13 @@ class CkksBootstrapper:
         if self.ev.stacked:
             pair = ct.pair()
             if ct.is_ntt:
-                pair = self.ev._pair_engine(ct.basis).inverse(pair)
+                pair = self.ev.kernels.engine(
+                    (ct.basis, ct.basis)).inverse(pair)
             # Level 0 means one limb per half: rows [0] is c0, [1] c1.
             centred = np.where(pair > q0 // 2, pair - q0, pair)
             lifted = (centred[:, None, :] % top.q_col).reshape(
                 2 * len(top), ct.n)
-            raised = self.ev._pair_engine(top).forward(lifted)
+            raised = self.ev.kernels.engine((top, top)).forward(lifted)
             return Ciphertext.from_pair(top, raised, ct.scale,
                                         is_ntt=True)
 

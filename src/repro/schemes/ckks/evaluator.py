@@ -9,7 +9,7 @@ the EFFACT architecture.
 The scheme-independent machinery — stacked ciphertext-pair layout,
 stacked key switching (digit lift through one ``(beta*E, N)`` NTT,
 Shoup MACs against digit-stacked key tables, NTT-domain ModDown),
-pair-wide BConv, plaintext Shoup-table caching, rotation hoisting —
+stack-wide BConv, plaintext Shoup-table caching, rotation hoisting —
 lives in :class:`repro.schemes.rns_core.RnsEvaluatorBase`, which BFV
 and BGV share.  This subclass adds only what is CKKS: approximate
 scale tracking, rescaling by the last chain prime, and real/complex
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...rns.bconv import rescale_last, rescale_last_pair
+from ...rns.bconv import rescale_last, rescale_last_stack
 from ..rns_core import CiphertextBatch, RnsEvaluatorBase
 from .ciphertext import Ciphertext
 from .keys import CkksContext, KeyChain
@@ -74,8 +74,8 @@ switch_down_ntt` kernel (identity correction): only the dropped limb
         pair = ct.pair()
         if not ct.is_ntt:
             new_basis = basis.prefix(limbs - 1)
-            down = rescale_last_pair(pair, basis)
-            out = self._pair_engine(new_basis).forward(down)
+            down = rescale_last_stack(pair, basis, 2)
+            out = self.kernels.engine((new_basis, new_basis)).forward(down)
             return Ciphertext.from_pair(new_basis, out,
                                         ct.scale / q_last, is_ntt=True)
         out, new_basis = self.kernels.switch_down_ntt(pair, basis, 2)
@@ -93,7 +93,7 @@ switch_down_ntt` kernel (identity correction): only the dropped limb
             raise ValueError("cannot rescale a single-limb polynomial")
         q_last = basis.primes[-1]
         stack, new_basis = self.kernels.switch_down_ntt(
-            batch.stack, basis, 2 * batch.k, dedupe=True)
+            batch.stack, basis, 2 * batch.k)
         return CiphertextBatch(basis=new_basis, stack=stack,
                                scales=[s / q_last for s in batch.scales],
                                is_ntt=True, ct_cls=batch.ct_cls)

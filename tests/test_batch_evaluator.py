@@ -1,7 +1,12 @@
-"""Cross-ciphertext k-way batching: bitwise equality vs the
-sequential per-ciphertext loop (the existing stacked path is the
-oracle), for every batch op, k in {1, 2, 3, 8}, several levels, CKKS
-and BGV; plus golden digests and cache-bound checks."""
+"""Cross-ciphertext k-way batching: bitwise equality vs a sequential
+per-ciphertext loop over the per-polynomial reference evaluator
+(``stacked=False``, sharing the batch evaluator's keys), for every
+batch op, k in {1, 2, 3, 8}, several levels, CKKS and BGV; plus golden
+digests and cache-bound checks.
+
+The stacked single-ciphertext ops are themselves ``k = 1`` calls into
+the batch kernels, so only the ``stacked=False`` path is an independent
+oracle here."""
 
 import hashlib
 
@@ -9,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.nttmath.batched import clear_caches, plan_cache_size
-from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
+from repro.schemes.bgv import BgvContext, BgvEvaluator, BgvParams, BgvScheme
 from repro.schemes.ckks import (
     CkksContext,
     CkksEvaluator,
@@ -37,6 +42,7 @@ def ckks():
     keys = keygen.gen_keychain(sk, rotations=ROTS)
     enc = Encryptor(ctx, pk)
     ev = CkksEvaluator(ctx, keys)
+    ref = CkksEvaluator(ctx, keys, stacked=False)
     rng = np.random.default_rng(7)
     cts = []
     for _ in range(max(KS)):
@@ -44,7 +50,7 @@ def ckks():
              + 1j * rng.uniform(-1, 1, params.slots))
         cts.append(enc.encrypt(ctx.encode(z)))
     pt = ctx.encode(rng.uniform(-1, 1, params.slots))
-    return ctx, ev, cts, pt
+    return ctx, ev, ref, cts, pt
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +64,8 @@ def bgv():
     rng = np.random.default_rng(9)
     cts = [scheme.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
            for _ in range(max(KS))]
-    return ctx, scheme.ev, cts
+    ref = BgvEvaluator(ctx, scheme.ev.keys, stacked=False)
+    return ctx, scheme.ev, ref, cts
 
 
 def _assert_batch_equals(batch: CiphertextBatch, want) -> None:
@@ -72,67 +79,67 @@ def _assert_batch_equals(batch: CiphertextBatch, want) -> None:
 
 
 def _ckks_at_level(ckks, k: int, level: int):
-    _, ev, cts, _ = ckks
+    _, ev, ref, cts, _ = ckks
     members = [ev.drop_level(ct, level) for ct in cts[:k]]
-    return ev, members, CiphertextBatch.from_ciphertexts(members)
+    return ev, ref, members, CiphertextBatch.from_ciphertexts(members)
 
 
 # ----------------------------------------------------------------------
-# CKKS: every batch op vs the sequential loop
+# CKKS: every batch op vs the sequential reference loop
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_ckks_linear_ops_match_sequential(ckks, k, level):
-    ev, members, batch = _ckks_at_level(ckks, k, level)
+    ev, ref, members, batch = _ckks_at_level(ckks, k, level)
     other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
     _assert_batch_equals(
         ev.batch_add(batch, other),
-        [ev.add(x, y) for x, y in zip(members, reversed(members))])
+        [ref.add(x, y) for x, y in zip(members, reversed(members))])
     _assert_batch_equals(
         ev.batch_sub(batch, other),
-        [ev.sub(x, y) for x, y in zip(members, reversed(members))])
+        [ref.sub(x, y) for x, y in zip(members, reversed(members))])
     _assert_batch_equals(ev.batch_negate(batch),
-                         [ev.negate(ct) for ct in members])
+                         [ref.negate(ct) for ct in members])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_ckks_multiply_plain_matches_sequential(ckks, k, level):
-    ctx, ev, _, pt = ckks
-    ev, members, batch = _ckks_at_level(ckks, k, level)
+    pt = ckks[-1]
+    ev, ref, members, batch = _ckks_at_level(ckks, k, level)
     _assert_batch_equals(ev.batch_multiply_plain(batch, pt),
-                         [ev.multiply_plain(ct, pt) for ct in members])
+                         [ref.multiply_plain(ct, pt) for ct in members])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_ckks_multiply_rescale_matches_sequential(ckks, k, level):
-    ev, members, batch = _ckks_at_level(ckks, k, level)
+    ev, ref, members, batch = _ckks_at_level(ckks, k, level)
     other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
     prod = ev.batch_multiply(batch, other)
-    want = [ev.multiply(x, y)
+    want = [ref.multiply(x, y)
             for x, y in zip(members, reversed(members))]
     _assert_batch_equals(prod, want)
     _assert_batch_equals(ev.batch_rescale(prod),
-                         [ev.rescale(ct) for ct in want])
+                         [ref.rescale(ct) for ct in want])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_ckks_rotate_matches_sequential(ckks, k, level):
-    ev, members, batch = _ckks_at_level(ckks, k, level)
+    ev, ref, members, batch = _ckks_at_level(ckks, k, level)
     for step in ROTS:
         _assert_batch_equals(ev.batch_rotate(batch, step),
-                             [ev.rotate(ct, step) for ct in members])
+                             [ref.rotate(ct, step) for ct in members])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_ckks_rotate_hoisted_matches_sequential(ckks, k, level):
-    ev, members, batch = _ckks_at_level(ckks, k, level)
+    ev, ref, members, batch = _ckks_at_level(ckks, k, level)
     steps = [0] + ROTS
     got = ev.batch_rotate_hoisted(batch, steps)
-    want = [ev.rotate_hoisted(ct, steps) for ct in members]
+    want = [ref.rotate_hoisted(ct, steps) for ct in members]
     assert set(got) == set(steps)
     for step in steps:
         _assert_batch_equals(got[step], [w[step] for w in want])
@@ -140,7 +147,7 @@ def test_ckks_rotate_hoisted_matches_sequential(ckks, k, level):
 
 @pytest.mark.parametrize("k", KS)
 def test_ckks_key_switch_matches_sequential(ckks, k):
-    _, ev, cts, _ = ckks
+    _, ev, ref, cts, _ = ckks
     members = cts[:k]
     basis = members[0].basis
     stack = np.concatenate(
@@ -149,21 +156,21 @@ def test_ckks_key_switch_matches_sequential(ckks, k):
     assert q_basis == basis
     limbs = len(basis)
     for i, ct in enumerate(members):
-        ks0, ks1 = ev.key_switch(ct.c1.to_coeff(), ev.keys.relin)
+        ks0, ks1 = ref.key_switch(ct.c1.to_coeff(), ev.keys.relin)
         pair = got[2 * i * limbs:2 * (i + 1) * limbs]
         assert np.array_equal(pair[:limbs], ks0.data)
         assert np.array_equal(pair[limbs:], ks1.data)
 
 
 def test_ckks_mixed_level_batches_reject_fusion(ckks):
-    _, ev, cts, _ = ckks
+    _, ev, ref, cts, _ = ckks
     with pytest.raises(ValueError, match="basis"):
         CiphertextBatch.from_ciphertexts(
             [cts[0], ev.drop_level(cts[1], 2)])
 
 
 def test_batch_split_round_trip(ckks):
-    _, ev, cts, _ = ckks
+    _, ev, ref, cts, _ = ckks
     batch = CiphertextBatch.from_ciphertexts(cts[:3])
     again = CiphertextBatch.from_ciphertexts(batch.split())
     assert np.array_equal(batch.stack, again.stack)
@@ -175,42 +182,42 @@ def test_batch_split_round_trip(ckks):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("k", KS)
 def test_bgv_ops_match_sequential(bgv, k):
-    _, ev, cts = bgv
+    _, ev, ref, cts = bgv
     members = cts[:k]
     batch = CiphertextBatch.from_ciphertexts(members)
     other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
     _assert_batch_equals(
         ev.batch_add(batch, other),
-        [ev.add(x, y) for x, y in zip(members, reversed(members))])
+        [ref.add(x, y) for x, y in zip(members, reversed(members))])
     _assert_batch_equals(
         ev.batch_sub(batch, other),
-        [ev.sub(x, y) for x, y in zip(members, reversed(members))])
+        [ref.sub(x, y) for x, y in zip(members, reversed(members))])
     _assert_batch_equals(ev.batch_negate(batch),
-                         [ev.negate(ct) for ct in members])
+                         [ref.negate(ct) for ct in members])
     for step in ROTS:
         _assert_batch_equals(ev.batch_rotate(batch, step),
-                             [ev.rotate(ct, step) for ct in members])
+                             [ref.rotate(ct, step) for ct in members])
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("times", [1, 2, 3])
 def test_bgv_multiply_mod_switch_match_sequential(bgv, k, times):
-    _, ev, cts = bgv
+    _, ev, ref, cts = bgv
     members = cts[:k]
     batch = CiphertextBatch.from_ciphertexts(members)
     prod = ev.batch_multiply(batch, batch)
-    want = [ev.multiply(ct, ct) for ct in members]
+    want = [ref.multiply(ct, ct) for ct in members]
     _assert_batch_equals(prod, want)
     _assert_batch_equals(
         ev.batch_mod_switch(prod, times=times),
-        [ev.mod_switch(ct, times=times) for ct in want])
+        [ref.mod_switch(ct, times=times) for ct in want])
 
 
 # ----------------------------------------------------------------------
 # Golden digest: a k=4 batched rotate is pinned bit-for-bit
 # ----------------------------------------------------------------------
 def test_golden_batch_rotate_digest(ckks):
-    _, ev, cts, _ = ckks
+    _, ev, ref, cts, _ = ckks
     batch = CiphertextBatch.from_ciphertexts(cts[:4])
     rotated = ev.batch_rotate(batch, 1)
     h = hashlib.sha256()
@@ -222,7 +229,7 @@ def test_golden_batch_rotate_digest(ckks):
 # Cache bounds: batch constants and plans are reused, and cleared
 # ----------------------------------------------------------------------
 def test_batch_plan_and_column_caches_reused(ckks):
-    _, ev, cts, _ = ckks
+    _, ev, ref, cts, _ = ckks
     members = cts[:3]
     clear_caches()
     batch = CiphertextBatch.from_ciphertexts(members)

@@ -128,41 +128,29 @@ def test_merged_bconv_blas_wide_basis(rng):
 
 
 # ----------------------------------------------------------------------
-# Stacked ciphertext-pair BConv kernels (PR 4)
+# Stacked BConv kernels: k polynomials per call, here k = 2
 # ----------------------------------------------------------------------
-def test_base_convert_pair_matches_per_half(rng):
-    from repro.rns.bconv import base_convert_pair
+def test_base_convert_stack_matches_per_polynomial(rng):
+    from repro.rns.bconv import base_convert_stack
 
     a = RnsPolynomial.random_uniform(C, N, rng)
     b = RnsPolynomial.random_uniform(C, N, rng)
-    pair = np.concatenate([a.data, b.data])
-    got = base_convert_pair(pair, C, B)
+    stack = np.concatenate([a.data, b.data])
+    got = base_convert_stack(stack, C, B, 2)
     assert np.array_equal(got[:len(B)], base_convert(a, B).data)
     assert np.array_equal(got[len(B):], base_convert(b, B).data)
+    with pytest.raises(ValueError, match="row"):
+        base_convert_stack(stack[:-1], C, B, 2)
 
 
-def test_mod_down_pair_matches_per_half(rng):
-    from repro.rns.bconv import mod_down_pair
-
-    ext = C.extend(B)
-    a = RnsPolynomial.random_uniform(ext, N, rng)
-    b = RnsPolynomial.random_uniform(ext, N, rng)
-    pair = np.concatenate([a.data, b.data])
-    got = mod_down_pair(pair, C, B)
-    assert np.array_equal(got[:len(C)], mod_down(a, C, B).data)
-    assert np.array_equal(got[len(C):], mod_down(b, C, B).data)
-    with pytest.raises(ValueError, match="pair"):
-        mod_down_pair(pair[:-1], C, B)
-
-
-def test_rescale_last_pair_matches_per_half(rng):
-    from repro.rns.bconv import rescale_last_pair
+def test_rescale_last_stack_matches_per_polynomial(rng):
+    from repro.rns.bconv import rescale_last_stack
 
     a = RnsPolynomial.random_uniform(C, N, rng)
     b = RnsPolynomial.random_uniform(C, N, rng)
-    pair = np.concatenate([a.data, b.data])
-    got = rescale_last_pair(pair, C)
+    stack = np.concatenate([a.data, b.data])
+    got = rescale_last_stack(stack, C, 2)
     assert np.array_equal(got[:len(C) - 1], rescale_last(a).data)
     assert np.array_equal(got[len(C) - 1:], rescale_last(b).data)
-    with pytest.raises(ValueError, match="pair"):
-        rescale_last_pair(pair[:-1], C)
+    with pytest.raises(ValueError, match="row"):
+        rescale_last_stack(stack[:-1], C, 2)

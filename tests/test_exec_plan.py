@@ -7,7 +7,7 @@ reference interpreter) over the fuzz corpus — including spill-forced
 compiles — and cover the plan-specific machinery the fuzzer cannot
 see: cache identity, ``clear_caches()`` integration, bindings-shape
 keying, artifact-store persistence, the store payload round trip, and
-the opt-in per-step profile.
+the tracer's per-step profile.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.compiler.exec_backend import (
-    ENV_EXEC_PROFILE,
     ExecBindings,
     execute_interpreted,
     execute_packed,
@@ -219,8 +219,13 @@ def test_plan_payload_round_trip(variant):
 # ----------------------------------------------------------------------
 def test_profile_env_breaks_down_every_instruction(monkeypatch,
                                                    compiled):
-    monkeypatch.setenv(ENV_EXEC_PROFILE, "1")
-    result = execute_packed(compiled)
+    """The enabled tracer (``REPRO_TRACE=1`` / ``--trace``) fills the
+    per-step profile."""
+    monkeypatch.setattr(obs.TRACER, "enabled", True)
+    try:
+        result = execute_packed(compiled)
+    finally:
+        obs.TRACER.drain()
     assert result.profile is not None
     assert all(wall >= 0.0 for wall, _ in result.profile.values())
     # Every instruction is attributed to exactly one step label

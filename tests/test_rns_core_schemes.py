@@ -11,7 +11,10 @@ Three layers of guarantees:
   both paths;
 * **oracle** — the seed's per-coefficient implementations
   (:mod:`repro.schemes.toy`) agree with the new schemes at the
-  plaintext level on identical inputs.
+  plaintext level on identical inputs;
+* **immutability** — single-ciphertext ops hand the batch kernels a
+  zero-copy ``k = 1`` view of ``ct.pair()``, so every such op must
+  leave its input residues untouched and return fresh storage.
 
 CKKS is covered by ``tests/test_stacked_evaluator.py`` running
 unchanged against the refactored base class; here we only pin the
@@ -29,6 +32,7 @@ import pytest
 from repro.schemes.bfv import BfvContext, BfvParams, BfvScheme
 from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
 from repro.schemes.ckks import CkksEvaluator
+from repro.rns.poly import RnsPolynomial
 from repro.schemes.rns_core import (
     Ciphertext,
     RnsEvaluatorBase,
@@ -66,8 +70,8 @@ def test_ckks_is_a_thin_subclass():
     RnsEvaluatorBase and every key-switch kernel is inherited, not
     reimplemented."""
     assert issubclass(CkksEvaluator, RnsEvaluatorBase)
-    for name in ("_key_switch_pair", "_lift_digits_stacked",
-                 "_key_mac_pair", "_mod_down_pair_stacked",
+    for name in ("_key_switch_batch", "_lift_digits_batch",
+                 "_key_mac_batch", "_mod_down_batch_stacked",
                  "key_switch", "rotate_hoisted", "multiply_plain"):
         assert getattr(CkksEvaluator, name) \
             is getattr(RnsEvaluatorBase, name), name
@@ -208,6 +212,56 @@ def test_bgv_exactness_survives_the_stack(bgv_pair, rng):
             ct = scheme.mod_switch(scheme.multiply(ct, ct, rk), times=2)
             expect = expect * expect % ctx.t
         assert np.array_equal(scheme.decrypt(ct, sk), expect)
+
+
+# ----------------------------------------------------------------------
+# Inputs survive the zero-copy k = 1 views
+# ----------------------------------------------------------------------
+def _assert_inputs_survive(op, *cts) -> None:
+    """Run ``op(*cts)``; every input's residues must be unchanged and
+    no output may share memory with an input stack."""
+    before = [ct.pair().copy() for ct in cts]
+    result = op(*cts)
+    outs = result.values() if isinstance(result, dict) else [result]
+    for ct, want in zip(cts, before):
+        assert np.array_equal(ct.pair(), want), "input mutated"
+        for out in outs:
+            assert not np.shares_memory(out.pair(), ct.pair()), \
+                "output aliases an input"
+
+
+CKKS_OPS = {
+    "rotate": lambda ev, pt, x, y: ev.rotate(x, 1),
+    "conjugate": lambda ev, pt, x, y: ev.conjugate(x),
+    "rotate_hoisted": lambda ev, pt, x, y: ev.rotate_hoisted(x, [0, 1, 2]),
+    "multiply": lambda ev, pt, x, y: ev.multiply(x, y),
+    "multiply_plain": lambda ev, pt, x, y: ev.multiply_plain(x, pt),
+    "rescale": lambda ev, pt, x, y: ev.rescale(x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CKKS_OPS))
+def test_ckks_ops_leave_inputs_untouched(ckks_small, rng, name):
+    ctx = ckks_small.ctx
+    basis = ctx.q_basis(3)
+    x, y = (Ciphertext(
+        c0=RnsPolynomial.random_uniform(basis, ctx.n, rng).to_ntt(),
+        c1=RnsPolynomial.random_uniform(basis, ctx.n, rng).to_ntt(),
+        scale=float(2 ** 25)) for _ in range(2))
+    pt = ctx.encode(rng.uniform(-1, 1, ctx.params.slots))
+    _assert_inputs_survive(
+        lambda x, y: CKKS_OPS[name](ckks_small.ev, pt, x, y), x, y)
+
+
+def test_bgv_bfv_ops_leave_inputs_untouched(bgv_pair, bfv_pair, rng):
+    ctx, bgv, _, sk, _, _ = bgv_pair
+    cx = bgv.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
+    _assert_inputs_survive(lambda x: bgv.ev.mod_switch(x, times=2), cx)
+    _assert_inputs_survive(bgv.ev.multiply, cx, cx.copy())
+    ctx, bfv, _, sk, _ = bfv_pair
+    cx, cy = (bfv.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
+              for _ in range(2))
+    _assert_inputs_survive(bfv.ev.multiply, cx, cy)
 
 
 # ----------------------------------------------------------------------

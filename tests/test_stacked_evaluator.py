@@ -2,8 +2,9 @@
 
 Every CKKS operation must be *bitwise* identical between
 ``CkksEvaluator(stacked=True)`` (the default: one ``(2L, N)`` kernel
-per pair, stacked digit lifts, pair BConv) and ``stacked=False`` (the
-per-polynomial reference).  The property tests run random ciphertexts
+per pair; key switches, rotations, hoisting and plaintext multiplies
+are ``k = 1`` calls into the cross-ciphertext batch kernels) and
+``stacked=False`` (the per-polynomial reference).  The property tests run random ciphertexts
 across several levels; golden-vector tests pin stacked rotate/rescale
 outputs on a self-contained deterministic context so a silent numeric
 change cannot hide behind a matching bug in both paths.
@@ -134,8 +135,9 @@ def test_multiply_relin_rescale_bitwise(ckks_small, legacy, rng):
 
 def test_rescale_coeff_domain_bitwise(ckks_small, legacy, rng):
     """Rescaling a coefficient-domain ciphertext takes the stacked
-    pair's full iNTT-free path (``rescale_last_pair``) and must match
-    the legacy round trip (which also lands in the NTT domain)."""
+    pair's full iNTT-free path (``rescale_last_stack`` with ``k = 2``)
+    and must match the legacy round trip (which also lands in the NTT
+    domain)."""
     ev = ckks_small.ev
     basis = ckks_small.ctx.q_basis(3)
     n = ckks_small.ctx.n
@@ -203,7 +205,7 @@ def test_rotate_hoisted_identity_steps_skip_the_lift(ckks_small, rng,
     def boom(*args, **kwargs):
         raise AssertionError("digit lift ran for identity-only steps")
 
-    monkeypatch.setattr(ev, "_lift_digits_stacked", boom)
+    monkeypatch.setattr(ev, "_lift_digits_batch", boom)
     out = ev.rotate_hoisted(ct, [0])
     _assert_same(out[0], ct, "identity hoisted rotation")
 
@@ -241,8 +243,8 @@ def test_stacked_plan_reuses_donor_tables(ckks_small):
     """Repeated identical chains collapse onto the union-chain plan
     under ``dedupe=True`` (the batch path) — tile-wise transforms
     share one set of twiddle rows.  Default calls keep the dedicated
-    row-gathered engine, the layout every pair-path kernel was tuned
-    on."""
+    row-gathered engine (the coefficient-domain rescale, ModRaise and
+    BFV tensor transforms)."""
     ctx = ckks_small.ctx
     basis = ctx.q_basis(3)
     donor = get_plan(ctx.n, basis.primes)
