@@ -11,8 +11,11 @@ so callers can treat the whole thing as a drop-in for the sequential
 loop.
 
 Every batch op is bitwise identical to iterating the per-ciphertext
-evaluator call (``tests/test_batch_evaluator.py`` pins this), so the
-planner is free to fuse or split groups purely on throughput grounds.
+evaluator call (``tests/test_batch_evaluator.py`` pins this for CKKS,
+BGV and BFV), so the planner is free to fuse or split groups purely on
+throughput grounds.  Ops the evaluator's scheme lacks (``rescale`` off
+CKKS, ``mod_switch`` off BGV) are rejected with a ``ValueError``
+before any group runs.
 The ``REPRO_BATCH_MAX_ROWS`` knob bounds the fused stack height
 (``2k*L`` rows); ``0`` means unbounded.
 
@@ -43,19 +46,21 @@ __all__ = [
     "execute_batched",
 ]
 
-#: Ops whose second operand is another ciphertext (fused as a y-batch).
-_TWO_CT_OPS = {
+#: Request op -> the evaluator's batch method.
+_BATCH_OPS = {
     "add": "batch_add",
     "sub": "batch_sub",
     "multiply": "batch_multiply",
-}
-
-#: Ops of one ciphertext and no argument.
-_ONE_CT_OPS = {
     "negate": "batch_negate",
     "rescale": "batch_rescale",
     "mod_switch": "batch_mod_switch",
+    "rotate": "batch_rotate",
+    "rotate_hoisted": "batch_rotate_hoisted",
+    "multiply_plain": "batch_multiply_plain",
 }
+
+#: Ops whose second operand is another ciphertext (fused as a y-batch).
+_TWO_CT_OPS = frozenset(("add", "sub", "multiply"))
 
 #: Ops whose argument is part of the fused kernel's constants, so only
 #: requests sharing it can fuse.
@@ -121,8 +126,7 @@ def coalesce(requests, *,
     groups: dict[tuple, list[tuple[int, BatchRequest]]] = {}
     order: list[tuple] = []
     for idx, req in enumerate(requests):
-        if req.op not in _TWO_CT_OPS and req.op not in _ONE_CT_OPS \
-                and req.op not in _ARG_OPS:
+        if req.op not in _BATCH_OPS:
             raise ValueError(f"unknown batchable op {req.op!r}")
         key = _group_key(req)
         if key not in groups:
@@ -148,21 +152,19 @@ def _run_group(evaluator, op: str,
     order."""
     batch = CiphertextBatch.from_ciphertexts(
         [req.ct for _, req in members])
+    run = getattr(evaluator, _BATCH_OPS[op])
     if op in _TWO_CT_OPS:
         other = CiphertextBatch.from_ciphertexts(
             [req.arg for _, req in members])
-        result = getattr(evaluator, _TWO_CT_OPS[op])(batch, other)
-        return result.split()
-    if op in _ONE_CT_OPS:
-        result = getattr(evaluator, _ONE_CT_OPS[op])(batch)
-        return result.split()
-    first = members[0][1]
+        return run(batch, other).split()
+    if op not in _ARG_OPS:
+        return run(batch).split()
+    arg = members[0][1].arg
     if op == "rotate":
-        return evaluator.batch_rotate(batch, int(first.arg)).split()
+        return run(batch, int(arg)).split()
     if op == "multiply_plain":
-        return evaluator.batch_multiply_plain(batch, first.arg).split()
-    assert op == "rotate_hoisted"
-    rotated = evaluator.batch_rotate_hoisted(batch, tuple(first.arg))
+        return run(batch, arg).split()
+    rotated = run(batch, tuple(arg))
     # rotated maps step -> CiphertextBatch; member i wants its own
     # step -> ciphertext view of each.
     split_by_step = {step: rb.split() for step, rb in rotated.items()}
@@ -177,14 +179,20 @@ def execute_batched(evaluator, requests, *,
     Returns results positionally matching ``requests`` (a ciphertext
     per request, or a ``step -> ciphertext`` dict for
     ``rotate_hoisted``).  Bitwise identical to calling the evaluator
-    once per request, in request order.
+    once per request, in request order.  Raises ``ValueError`` before
+    running anything if the evaluator lacks a requested op.
     """
     requests = list(requests)
+    groups = coalesce(requests, max_rows=max_rows)
+    for op in {members[0][1].op for members in groups}:
+        if not hasattr(evaluator, _BATCH_OPS[op]):
+            raise ValueError(f"{type(evaluator).__name__} does not "
+                             f"support the batch op {op!r}")
     tr = TRACER
     if tr.enabled:
         tr.count("batch.requests", len(requests))
     results: list = [None] * len(requests)
-    for members in coalesce(requests, max_rows=max_rows):
+    for members in groups:
         op = members[0][1].op
         k = len(members)
         rows = 2 * k * len(members[0][1].ct.basis)

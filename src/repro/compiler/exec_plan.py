@@ -302,7 +302,7 @@ def build_exec_plan(packed: PackedProgram, bindings) -> ExecPlan:
     # -- run assembly (elementwise and FFT) ----------------------------
     def source_rows(run, primes, arity):
         """Arena rows for every source of a run, materializing DRAM
-        values into per-step temp rows (deduped by ``(vid, q)`` —
+        values into per-step temp rows (deduplicated by ``(vid, q)`` —
         in-place fetches re-reduce at the use-site prime, so the same
         vid at two moduli is two different arrays)."""
         dram_cache: dict[tuple[int, int], int] = {}

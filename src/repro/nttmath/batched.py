@@ -944,8 +944,7 @@ def _derive_from_superset(key) -> BatchedPlan | None:
     return None
 
 
-def get_stacked_plan(n: int, bases, *, dedupe: bool = False
-                     ) -> BatchedPlan:
+def get_stacked_plan(n: int, bases) -> BatchedPlan:
     """Plan for several prime chains stacked into one ``(sum L_i, N)``
     transform (the k-polynomial stacked-transform engine).
 
@@ -959,16 +958,14 @@ def get_stacked_plan(n: int, bases, *, dedupe: bool = False
     outputs are bitwise identical to per-chain transforms; stacked
     plans share the bounded LRU cache with ordinary plans.
 
-    With ``dedupe=True`` (the cross-ciphertext batch path), ``k``
-    identical copies of one chain collapse onto the union chain's own
+    ``k`` identical copies of one chain collapse onto that chain's own
     plan: the engine transforms ``(k*L, N)`` stacks tile-wise with a
     single set of twiddle rows, so the plan's memory footprint — and
-    the cache's entry count — is independent of ``k``.  Dedupe is
-    opt-in so the established pair/digit stacks keep the row-gathered
-    layouts their kernels were tuned on.
+    the cache's entry count — is independent of ``k``.  Only mixed
+    chains get a row-gathered plan of their own.
     """
     chains = [tuple(int(q) for q in base) for base in bases]
-    if dedupe and len(set(chains)) == 1:
+    if len(set(chains)) == 1:
         return get_plan(n, chains[0])
     stacked = tuple(q for chain in chains for q in chain)
     key = (int(n), stacked)

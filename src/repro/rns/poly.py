@@ -244,20 +244,20 @@ class RnsPolynomial:
         return self.data[index]
 
 
-def stacked_engine(n: int, bases, *, dedupe: bool = False) -> BatchedNTT:
+def stacked_engine(n: int, bases) -> BatchedNTT:
     """The ``(sum L_i, N)`` engine for several stacked bases.
 
     ``bases`` entries are :class:`RnsBasis` objects or prime tuples;
     the engine's tables are prefix/row slices of the union chain's
     cached plan (mixed-basis prefix slicing), so a stacked engine is
     never rebuilt from scratch.  Callers feed it concatenated stacks
-    directly — the evaluator's ciphertext-pair hot path.  The batch
-    path passes ``dedupe=True`` so ``k`` identical chains share the
-    union plan's tile-wise engine (see :func:`get_stacked_plan`).
+    directly — the evaluator's ciphertext-pair hot path.  ``k``
+    identical chains share the union plan's tile-wise engine (see
+    :func:`get_stacked_plan`).
     """
     chains = tuple(b.primes if isinstance(b, RnsBasis) else tuple(b)
                    for b in bases)
-    return get_stacked_plan(n, chains, dedupe=dedupe).ntt
+    return get_stacked_plan(n, chains).ntt
 
 
 def stacked_transform(polys, *, forward: bool) -> list[RnsPolynomial]:

@@ -43,16 +43,18 @@ from ..rns.bconv import (
     inverse_mod_col,
     reduce_mod_col,
 )
-from ..rns.poly import RnsPolynomial, ntt_table
+from ..rns.poly import RnsPolynomial, ntt_table, stacked_engine
 from .rns_core import (
     Ciphertext,
+    CiphertextBatch,
     KeyChain,
     RnsContext,
     RnsEvaluatorBase,
     RnsKeyGenerator,
     SecretKey,
     SwitchingKey,
-    _pair_col,
+    _as_batch,
+    _batch_q_col,
 )
 
 __all__ = [
@@ -179,11 +181,8 @@ class BfvEvaluator(RnsEvaluatorBase):
         """Scale-invariant HMULT: centred lift to ``Q+R``, NTT-domain
         tensor, ``round(t*d/Q)`` rescale, hybrid relinearization.
 
-        The stacked path runs one ``(4L, N)`` iNTT over both operand
-        pairs, one wide centred BConv lifting all four polynomials to
-        ``R``, one ``(4E, N)`` forward NTT, one ``(3E, N)`` iNTT over
-        the tensor triple, wide ``t/Q`` scaling, and the shared stacked
-        key switch — bitwise identical to the per-polynomial reference
+        The stacked path is :meth:`batch_multiply` at ``k = 1``,
+        bitwise identical to the per-polynomial reference
         (``stacked=False``).
         """
         if self.keys.relin is None:
@@ -192,39 +191,61 @@ class BfvEvaluator(RnsEvaluatorBase):
             raise ValueError("operand bases differ")
         if not self.stacked:
             return self._multiply_reference(x, y)
+        return self.batch_multiply(_as_batch(x), _as_batch(y)).split()[0]
+
+    def batch_multiply(self, x: CiphertextBatch,
+                       y: CiphertextBatch) -> CiphertextBatch:
+        """Scale-invariant HMULT of ``k`` independent ciphertext
+        products in one pass of wide kernels.
+
+        Per ciphertext the operand rows stack as ``[x0; x1; y0; y1]``:
+        one ``(4k*Lq, N)`` iNTT, one wide centred BConv lifting all
+        ``4k`` polynomials to ``R``, one ``(4k*Lr, N)`` forward NTT,
+        the tensor, one ``(3k*E, N)`` iNTT, wide ``t/Q`` scaling of all
+        ``3k`` components, and one ``k``-fused key switch of the
+        ``d2`` terms.  Row slices are bitwise identical to ``k``
+        sequential :meth:`multiply` calls.
+        """
+        if self.keys.relin is None:
+            raise ValueError("no relinearization key in the key chain")
+        self._check_batch(x, y, same_scales=False)
         self._check_domains(x.is_ntt, True)
-        self._check_domains(y.is_ntt, True)
         ctx = self.context
         q, r, ext = ctx.q_full, ctx.r_basis, ctx.mul_basis
         lq, lr, le = len(q), len(r), len(ext)
         n = ctx.n
-        # One (4Lq, N) iNTT covers both operand pairs.
-        pairs = np.concatenate([x.pair(), y.pair()])
-        coeff = self.kernels.engine((q,) * 4).inverse(pairs)
-        # Centred lift to R: one wide exact BConv for all four polys.
-        r_rows = base_convert_centered_stack(coeff, q, r, 4)
+        k = x.k
+        # One (4k*Lq, N) iNTT covers every operand pair.
+        ops = np.concatenate([x.stack.reshape(k, 2, lq, n),
+                              y.stack.reshape(k, 2, lq, n)],
+                             axis=1).reshape(4 * k * lq, n)
+        coeff = stacked_engine(n, (q,) * (4 * k)).inverse(ops)
+        # Centred lift to R: one wide exact BConv for all 4k polys.
+        r_rows = base_convert_centered_stack(coeff, q, r, 4 * k)
         # Only the R rows go through the forward NTT: the Q rows of the
         # lifted stacks are ``forward(inverse(x)) == x`` — the original
         # NTT-domain ciphertext rows, reused verbatim (the same trick
         # the key-switch digit lift plays with its kept rows).
-        r_ntt = self.kernels.engine((r,) * 4).forward(r_rows)
-        ntt = np.empty((4 * le, n), dtype=np.int64)
-        for i in range(4):
-            ntt[i * le:i * le + lq] = pairs[i * lq:(i + 1) * lq]
-            ntt[i * le + lq:(i + 1) * le] = r_ntt[i * lr:(i + 1) * lr]
-        x0, x1, y0, y1 = (ntt[i * le:(i + 1) * le] for i in range(4))
+        r_ntt = stacked_engine(n, (r,) * (4 * k)).forward(r_rows)
+        ntt = np.empty((k, 4, le, n), dtype=np.int64)
+        ntt[:, :, :lq] = ops.reshape(k, 4, lq, n)
+        ntt[:, :, lq:] = r_ntt.reshape(k, 4, lr, n)
+        x0, x1, y0, y1 = (ntt[:, i] for i in range(4))
         e_col = ext.q_col
-        d0 = x0 * y0 % e_col
-        d2 = x1 * y1 % e_col
-        d1 = (x0 * y1 % e_col + x1 * y0 % e_col) % e_col
-        d_coeff = self.kernels.engine((ext,) * 3).inverse(
-            np.concatenate([d0, d1, d2]))
-        dq = self._scale_round_stack(d_coeff, 3)
-        d01 = self.kernels.engine((q, q)).forward(dq[:2 * lq])
-        ks, _ = self._key_switch_batch(dq[2 * lq:], self.keys.relin,
-                                       lq - 1, 1)
-        out = (d01 + ks) % _pair_col(q.q_col)
-        return type(x).from_pair(q, out, x.scale, is_ntt=True)
+        d = np.empty((k, 3, le, n), dtype=np.int64)
+        d[:, 0] = x0 * y0 % e_col
+        d[:, 1] = (x0 * y1 % e_col + x1 * y0 % e_col) % e_col
+        d[:, 2] = x1 * y1 % e_col
+        d_coeff = stacked_engine(n, (ext,) * (3 * k)).inverse(
+            d.reshape(3 * k * le, n))
+        dq = self._scale_round_stack(d_coeff, 3 * k).reshape(k, 3, lq, n)
+        d01 = stacked_engine(n, (q,) * (2 * k)).forward(
+            dq[:, :2].reshape(2 * k * lq, n))
+        ks, _ = self._key_switch_batch(dq[:, 2].reshape(k * lq, n),
+                                       self.keys.relin, lq - 1, k)
+        out = (d01 + ks) % _batch_q_col(q, 2 * k)
+        return CiphertextBatch(basis=q, stack=out, scales=list(x.scales),
+                               is_ntt=True, ct_cls=x.ct_cls)
 
     def _multiply_reference(self, x: Ciphertext,
                             y: Ciphertext) -> Ciphertext:

@@ -15,7 +15,7 @@ BConv the CKKS evaluator uses — with two BGV-specific twists:
   of :mod:`repro.rns.bconv`, so key switching never perturbs the
   plaintext mod ``t``;
 * **modulus switching** reuses the shared NTT-domain last-limb kernel
-  (:meth:`~repro.schemes.rns_core.StackedKernels.switch_down_ntt`)
+  (:meth:`~repro.schemes.rns_core.RnsEvaluatorBase.switch_down_ntt`)
   with the same ``t``-multiple correction, tracking the accumulated
   plaintext factor ``q^-1 mod t`` on the ciphertext.
 
@@ -46,7 +46,6 @@ from ..rns.bconv import (
 from ..rns.poly import (
     RnsPolynomial,
     ntt_table,
-    stacked_engine,
     to_coeff_stacked,
     to_ntt_stacked,
 )
@@ -60,8 +59,7 @@ from .rns_core import (
     RnsKeyGenerator,
     SecretKey,
     SwitchingKey,
-    _batch_q_col,
-    _scale_by_inv_batch,
+    _as_batch,
 )
 
 __all__ = [
@@ -254,32 +252,13 @@ class BgvEvaluator(RnsEvaluatorBase):
         p_mod_q = reduce_mod_col(ctx.p_basis.modulus, q_basis.primes)
         return (cen_q + p_mod_q * lam) % q_basis.q_col
 
-    def _mod_down_batch_stacked(self, acc: np.ndarray, ext: RnsBasis,
-                                q_basis: RnsBasis, k: int) -> np.ndarray:
-        """NTT-domain ModDown of ``k`` accumulator pairs with the
-        ``t``-multiple correction (overrides the fast-BConv CKKS/BFV
+    def _mod_down_correction(self, coeff_p: np.ndarray, q_basis: RnsBasis,
+                             k: int) -> np.ndarray:
+        """The ``t``-multiple ModDown correction of ``k`` stacked
+        ``[acc]_P`` polynomials (overrides the fast-BConv CKKS/BFV
         version; same dataflow, exact arithmetic)."""
-        ctx = self.context
-        n = ctx.n
-        p_basis = ctx.p_basis
-        l1 = len(q_basis)
-        ext_limbs = len(ext)
-        a4 = acc.reshape(k, 2, ext_limbs, n)
-        acc_p = np.ascontiguousarray(a4[:, :, l1:, :]).reshape(
-            2 * k * (ext_limbs - l1), n)
-        coeff_p = stacked_engine(n, (p_basis,) * (2 * k),
-                                 dedupe=True).inverse(
-            acc_p, assume_reduced=True)
-        wide = _stack_to_wide(coeff_p, len(p_basis), 2 * k)
-        corr = _wide_to_stack(self._moddown_delta(wide, q_basis), 2 * k)
-        corr_ntt = stacked_engine(n, (q_basis,) * (2 * k),
-                                  dedupe=True).forward(
-            corr, assume_reduced=True)
-        corr4 = corr_ntt.reshape(k, 2, l1, n)
-        np.subtract(a4[:, :, :l1, :], corr4, out=corr4)
-        qk_col = _batch_q_col(q_basis, 2 * k)
-        return _scale_by_inv_batch(corr_ntt, p_basis.modulus, q_basis,
-                                   qk_col, 2 * k)
+        wide = _stack_to_wide(coeff_p, len(self.context.p_basis), k)
+        return _wide_to_stack(self._moddown_delta(wide, q_basis), k)
 
     def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
                        q_basis: RnsBasis
@@ -301,17 +280,10 @@ class BgvEvaluator(RnsEvaluatorBase):
         return RnsPolynomial(q_basis, data, is_ntt=False)
 
     # -- multiplication -------------------------------------------------
-    def multiply(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        """Tensor product then relinearization; the plaintext factor
-        multiplies mod ``t`` in exact integer arithmetic (the float
-        product of two 31-bit factors would round past 2^53)."""
-        t = self.context.t
-        out = super().multiply(x, y)
-        out.scale = float(int(x.scale) * int(y.scale) % t)
-        return out
-
     def _mul_scale(self, sx: float, sy: float) -> float:
-        """Batched-product scale: the exact factor product mod ``t``."""
+        """Product scale: the plaintext factors multiply mod ``t`` in
+        exact integer arithmetic (the float product of two 31-bit
+        factors would round past 2^53)."""
         return float(int(sx) * int(sy) % self.context.t)
 
     # -- modulus switching ----------------------------------------------
@@ -333,11 +305,13 @@ class BgvEvaluator(RnsEvaluatorBase):
         while keeping the plaintext mod t intact (up to the tracked
         q^-1 factor) and shrinking the noise by ~q each time.
 
-        The stacked path is the shared NTT-domain rescale kernel with
-        the ``t``-multiple correction; the reference path round-trips
-        each polynomial through the coefficient domain.  Both are
-        bitwise identical.
+        The stacked path for an NTT-domain ciphertext is
+        :meth:`batch_mod_switch` at ``k = 1``; the reference path
+        round-trips each polynomial through the coefficient domain.
+        Both are bitwise identical.
         """
+        if self.stacked and ct.is_ntt:
+            return self.batch_mod_switch(_as_batch(ct), times).split()[0]
         t = self.context.t
         factor = int(ct.scale)
         out = ct
@@ -346,16 +320,9 @@ class BgvEvaluator(RnsEvaluatorBase):
             if len(basis) < 2:
                 raise ValueError("no limbs left to switch away")
             q_last = basis.primes[-1]
-            if self.stacked and out.is_ntt:
-                pair, new_basis = self.kernels.switch_down_ntt(
-                    out.pair(), basis, 2,
-                    delta_fn=self._switch_delta(q_last))
-                out = BgvCiphertext.from_pair(new_basis, pair, 1.0,
-                                              is_ntt=True)
-            else:
-                out = BgvCiphertext(c0=self._mod_switch_poly(out.c0),
-                                    c1=self._mod_switch_poly(out.c1),
-                                    scale=1.0)
+            out = BgvCiphertext(c0=self._mod_switch_poly(out.c0),
+                                c1=self._mod_switch_poly(out.c1),
+                                scale=1.0)
             factor = factor * pow(q_last, -1, t) % t
         out.scale = float(factor)
         return out
@@ -363,8 +330,9 @@ class BgvEvaluator(RnsEvaluatorBase):
     def batch_mod_switch(self, batch: CiphertextBatch,
                          times: int = 1) -> CiphertextBatch:
         """Modulus-switch ``k`` fused ciphertexts at once: the shared
-        last-limb kernel runs on all ``2k`` halves per step, with the
-        per-ciphertext ``q^-1`` factors tracked exactly mod ``t``."""
+        last-limb kernel (:meth:`switch_down_ntt`) runs on all ``2k``
+        halves per step with the ``t``-multiple correction, and the
+        per-ciphertext ``q^-1`` factors are tracked exactly mod ``t``."""
         if not batch.is_ntt:
             raise ValueError("batch_mod_switch expects an NTT-domain "
                              "batch")
@@ -376,7 +344,7 @@ class BgvEvaluator(RnsEvaluatorBase):
             if len(basis) < 2:
                 raise ValueError("no limbs left to switch away")
             q_last = basis.primes[-1]
-            stack, basis = self.kernels.switch_down_ntt(
+            stack, basis = self.switch_down_ntt(
                 stack, basis, 2 * batch.k,
                 delta_fn=self._switch_delta(q_last))
             inv = pow(q_last, -1, t)

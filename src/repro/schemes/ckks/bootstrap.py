@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...rns.poly import RnsPolynomial
+from ...rns.poly import RnsPolynomial, stacked_engine
 from .ciphertext import Ciphertext
 from .evaluator import CkksEvaluator
 from .keys import CkksContext
@@ -120,13 +120,12 @@ class CkksBootstrapper:
         if self.ev.stacked:
             pair = ct.pair()
             if ct.is_ntt:
-                pair = self.ev.kernels.engine(
-                    (ct.basis, ct.basis)).inverse(pair)
+                pair = stacked_engine(ct.n, (ct.basis,) * 2).inverse(pair)
             # Level 0 means one limb per half: rows [0] is c0, [1] c1.
             centred = np.where(pair > q0 // 2, pair - q0, pair)
             lifted = (centred[:, None, :] % top.q_col).reshape(
                 2 * len(top), ct.n)
-            raised = self.ev.kernels.engine((top, top)).forward(lifted)
+            raised = stacked_engine(ct.n, (top, top)).forward(lifted)
             return Ciphertext.from_pair(top, raised, ct.scale,
                                         is_ntt=True)
 

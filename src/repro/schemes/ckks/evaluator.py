@@ -36,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...rns.bconv import rescale_last, rescale_last_stack
-from ..rns_core import CiphertextBatch, RnsEvaluatorBase
+from ...rns.poly import stacked_engine
+from ..rns_core import CiphertextBatch, RnsEvaluatorBase, _as_batch
 from .ciphertext import Ciphertext
 from .keys import CkksContext, KeyChain
 
@@ -54,46 +55,44 @@ class CkksEvaluator(RnsEvaluatorBase):
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Divide by the last chain prime and drop one level.
 
-        The stacked path keeps the pair in the NTT domain via the
-        shared :meth:`~repro.schemes.rns_core.StackedKernels.\
-switch_down_ntt` kernel (identity correction): only the dropped limb
-        of each half is iNTT'd (2 rows), its centred re-reductions are
-        NTT'd back, and the subtract + q_last^-1 scaling fold in the
-        NTT domain — the modulus-switch dataflow the IR lowering emits,
-        bitwise identical to the coefficient round trip.
+        The stacked path for an NTT-domain ciphertext is
+        :meth:`batch_rescale` at ``k = 1``; a coefficient-domain input
+        takes the stacked pair through ``rescale_last_stack`` and one
+        forward NTT.  Both are bitwise identical to the per-polynomial
+        coefficient round trip.
         """
         q_last = ct.basis.primes[-1]
         if not self.stacked:
             c0 = rescale_last(ct.c0.to_coeff()).to_ntt()
             c1 = rescale_last(ct.c1.to_coeff()).to_ntt()
             return Ciphertext(c0=c0, c1=c1, scale=ct.scale / q_last)
+        if ct.is_ntt:
+            return self.batch_rescale(_as_batch(ct)).split()[0]
         basis = ct.basis
         limbs = len(basis)
         if limbs < 2:
             raise ValueError("cannot rescale a single-limb polynomial")
-        pair = ct.pair()
-        if not ct.is_ntt:
-            new_basis = basis.prefix(limbs - 1)
-            down = rescale_last_stack(pair, basis, 2)
-            out = self.kernels.engine((new_basis, new_basis)).forward(down)
-            return Ciphertext.from_pair(new_basis, out,
-                                        ct.scale / q_last, is_ntt=True)
-        out, new_basis = self.kernels.switch_down_ntt(pair, basis, 2)
+        new_basis = basis.prefix(limbs - 1)
+        down = rescale_last_stack(ct.pair(), basis, 2)
+        out = stacked_engine(ct.n, (new_basis, new_basis)).forward(down)
         return Ciphertext.from_pair(new_basis, out, ct.scale / q_last,
                                     is_ntt=True)
 
     def batch_rescale(self, batch: CiphertextBatch) -> CiphertextBatch:
         """Rescale ``k`` fused ciphertexts at once: the NTT-domain
-        last-limb kernel runs on all ``2k`` halves in one pass, bitwise
-        identical to ``k`` sequential :meth:`rescale` calls."""
+        last-limb kernel (:meth:`switch_down_ntt`, identity correction)
+        runs on all ``2k`` halves in one pass — only the dropped limb
+        of each half is iNTT'd, and the subtract + ``q_last^-1``
+        scaling fold in the NTT domain, the modulus-switch dataflow the
+        IR lowering emits."""
         if not batch.is_ntt:
             raise ValueError("batch_rescale expects an NTT-domain batch")
         basis = batch.basis
         if len(basis) < 2:
             raise ValueError("cannot rescale a single-limb polynomial")
         q_last = basis.primes[-1]
-        stack, new_basis = self.kernels.switch_down_ntt(
-            batch.stack, basis, 2 * batch.k)
+        stack, new_basis = self.switch_down_ntt(batch.stack, basis,
+                                                2 * batch.k)
         return CiphertextBatch(basis=new_basis, stack=stack,
                                scales=[s / q_last for s in batch.scales],
                                is_ntt=True, ct_cls=batch.ct_cls)

@@ -16,12 +16,16 @@ Kernel -> evaluator-op map
     every stacked op: ``k`` ciphertext pairs as one ct-major
     ``(2k*L, N)`` stack; a single ciphertext is a zero-copy ``k = 1``
     view of ``Ciphertext.pair``
-``StackedKernels.engine``
-    stacked NTT/iNTT/automorphism over mixed prime chains
-``StackedKernels.switch_down_ntt``
-    CKKS ``rescale`` (identity correction) and BGV ``mod_switch``
-    (``t``-multiple correction) — the NTT-domain last-limb modulus
-    switch
+:func:`repro.rns.poly.stacked_engine`
+    stacked NTT/iNTT/automorphism; ``k`` identical chains share one
+    tile-wise plan, mixed chains get a row-gathered one
+``RnsEvaluatorBase.switch_down_ntt``
+    CKKS ``batch_rescale`` (identity correction) and BGV
+    ``batch_mod_switch`` (``t``-multiple correction) — the NTT-domain
+    last-limb modulus switch
+``RnsEvaluatorBase.batch_multiply``
+    one tensor stack plus one ``k``-fused relinearization; BFV
+    overrides it with the scale-invariant ``Q+R`` tensor
 ``RnsEvaluatorBase._lift_digits_batch``
     decompose + ModUp + one ``(k*beta*E, N)`` NTT: HMULT
     relinearization, rotations, hoisted rotations (all schemes)
@@ -35,10 +39,14 @@ Kernel -> evaluator-op map
     Shoup-frozen plaintext constants for ``multiply_plain`` on the
     tiled batch stack
 
-Single-ciphertext ops (``rotate``, ``conjugate``, ``rotate_hoisted``,
-``relinearize``/``multiply``, ``key_switch``, ``multiply_plain``) are
-``k = 1`` calls into the same batch kernels the ``batch_*`` ops run,
-so the layer has one fast path.  ``stacked=False`` is the
+Every stacked single-ciphertext op (``add``, ``sub``, ``negate``,
+``multiply``, ``multiply_plain``, ``rotate``, ``conjugate``,
+``rotate_hoisted``, ``key_switch``, CKKS ``rescale``, BGV
+``mod_switch``) is a ``k = 1`` call into the same batch kernels the
+``batch_*`` ops run, so the layer has one fast path.
+``multiply_no_relin`` and ``relinearize`` keep only their
+per-polynomial form (``relinearize`` key-switches through
+:meth:`RnsEvaluatorBase.key_switch`).  ``stacked=False`` is the
 per-polynomial differential reference every scheme pins in its test
 suite (``tests/test_stacked_evaluator.py`` for CKKS,
 ``tests/test_rns_core_schemes.py`` for BFV/BGV,
@@ -80,12 +88,6 @@ from ..rns.poly import (
 )
 
 _SCALE_TOLERANCE = 1e-6
-
-
-def _pair_col(col: np.ndarray) -> np.ndarray:
-    """Double an ``(L, 1)`` per-limb constant column to ``(2L, 1)`` so
-    one broadcast expression covers a stacked ciphertext pair."""
-    return np.concatenate([col, col])
 
 
 #: Upper bound on cached tiled constant columns; evicted LRU so a
@@ -669,92 +671,6 @@ class RnsKeyGenerator:
 
 
 # ======================================================================
-# Stacked kernels
-# ======================================================================
-class StackedKernels:
-    """Scheme-independent ``(k*L, N)`` stack kernels for one ring degree.
-
-    Thin, stateless veneer over the plan-cached stacked engines plus
-    the generic NTT-domain modulus-switch kernel that CKKS rescale and
-    BGV modulus switching share.  Row slices of every kernel are
-    bitwise identical to running each polynomial alone, which is what
-    makes the ``stacked=False`` reference paths exact differentials.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def engine(self, bases, *, dedupe: bool = False):
-        """The stacked engine over a tuple of bases/prime chains."""
-        return stacked_engine(self.n, bases, dedupe=dedupe)
-
-    def switch_down_ntt(self, stack: np.ndarray, basis: RnsBasis,
-                        k: int, *, delta_fn=None
-                        ) -> tuple[np.ndarray, RnsBasis]:
-        """Drop the last limb of ``k`` stacked NTT-domain polynomials.
-
-        The modulus-switch dataflow the IR lowering emits: only the
-        dropped limb of each polynomial is iNTT'd (k rows), its
-        (optionally corrected) centred re-reductions are NTT'd back,
-        and the subtract + ``q_last^-1`` scaling fold in the NTT
-        domain — bitwise identical to the coefficient round trip
-        because the NTT is Z_q-linear and commutes with per-limb
-        constants.
-
-        ``delta_fn`` maps the centred dropped rows ``(k, N)`` to the
-        integer correction actually subtracted: ``None`` (identity) is
-        the CKKS rescale; BGV passes the lift to a multiple of ``t``.
-        The ``k`` chains share one deduplicated engine, and the
-        reductions stay division-free where the input allows it
-        (identity correction below every kept prime; all primes under
-        ``2^31``).
-        """
-        limbs = len(basis)
-        if limbs < 2:
-            raise ValueError("cannot rescale a single-limb polynomial")
-        if stack.shape[0] != k * limbs:
-            raise ValueError(
-                f"expected a {k * limbs}-row stack, got {stack.shape[0]}")
-        q_last = basis.primes[-1]
-        new_basis = basis.prefix(limbs - 1)
-        n = stack.shape[1]
-        last = np.concatenate(
-            [stack[i * limbs + limbs - 1:(i + 1) * limbs]
-             for i in range(k)])
-        last_coeff = self.engine(((q_last,),) * k, dedupe=True).inverse(
-            last, assume_reduced=True)
-        centred = np.where(last_coeff > q_last // 2,
-                           last_coeff - q_last, last_coeff)
-        delta = centred if delta_fn is None else delta_fn(centred)
-        if delta_fn is None and q_last // 2 < min(new_basis.primes):
-            # Rescale: |delta| <= q_last/2 < every q_j, so
-            # ``delta + q_j`` already sits in (0, 2q) and one
-            # conditional subtract replaces the broadcast division —
-            # the identical canonical residue.
-            corr = np.add(delta[:, None, :], new_basis.q_col)
-            corr = corr.reshape(k * (limbs - 1), n)
-            tmp = scratch("sdn_c", corr.shape)
-            _csub_into(corr.view(np.uint64),
-                       _batch_q_col(new_basis, k).view(np.uint64), tmp)
-            release_scratch("sdn_c", corr.shape)
-        else:
-            corr = (delta[:, None, :] % new_basis.q_col).reshape(
-                k * (limbs - 1), n)
-        corr_ntt = self.engine((new_basis,) * k, dedupe=True).forward(
-            corr, assume_reduced=True)
-        acc = np.concatenate(
-            [stack[i * limbs:(i + 1) * limbs - 1] for i in range(k)])
-        # Both operands were canonical, so the difference sits in
-        # (-q, q), the input range of the shared scaling tail.
-        acc -= corr_ntt
-        return _scale_by_inv_batch(acc, q_last, new_basis,
-                                   _batch_q_col(new_basis, k),
-                                   k), new_basis
-
-
-# ======================================================================
 # Evaluator base
 # ======================================================================
 class RnsEvaluatorBase:
@@ -771,7 +687,6 @@ class RnsEvaluatorBase:
         self.context = context
         self.keys = keys or KeyChain()
         self.stacked = stacked
-        self.kernels = StackedKernels(context.n)
 
     # ------------------------------------------------------------------
     # Level and scale maintenance
@@ -816,10 +731,7 @@ class RnsEvaluatorBase:
         if not self.stacked:
             return type(x)(c0=x.c0 + y.c0, c1=x.c1 + y.c1,
                            scale=x.scale)
-        self._check_domains(x.is_ntt, y.is_ntt)
-        pair = (x.pair() + y.pair()) % _pair_col(x.basis.q_col)
-        return type(x).from_pair(x.basis, pair, x.scale,
-                                 is_ntt=x.is_ntt)
+        return self.batch_add(_as_batch(x), _as_batch(y)).split()[0]
 
     def sub(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
         x, y = self._align(x, y)
@@ -827,17 +739,12 @@ class RnsEvaluatorBase:
         if not self.stacked:
             return type(x)(c0=x.c0 - y.c0, c1=x.c1 - y.c1,
                            scale=x.scale)
-        self._check_domains(x.is_ntt, y.is_ntt)
-        pair = (x.pair() - y.pair()) % _pair_col(x.basis.q_col)
-        return type(x).from_pair(x.basis, pair, x.scale,
-                                 is_ntt=x.is_ntt)
+        return self.batch_sub(_as_batch(x), _as_batch(y)).split()[0]
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         if not self.stacked:
             return type(ct)(c0=-ct.c0, c1=-ct.c1, scale=ct.scale)
-        pair = (-ct.pair()) % _pair_col(ct.basis.q_col)
-        return type(ct).from_pair(ct.basis, pair, ct.scale,
-                                  is_ntt=ct.is_ntt)
+        return self.batch_negate(_as_batch(ct)).split()[0]
 
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         self._check_scales(ct.scale, pt.scale)
@@ -880,48 +787,34 @@ class RnsEvaluatorBase:
     def multiply_no_relin(self, x: Ciphertext,
                           y: Ciphertext) -> Ciphertext3:
         x, y = self._align(x, y)
-        if not self.stacked:
-            d0 = x.c0.pointwise_mul(y.c0)
-            d1 = x.c0.pointwise_mul(y.c1) + x.c1.pointwise_mul(y.c0)
-            d2 = x.c1.pointwise_mul(y.c1)
-            return Ciphertext3(d0=d0, d1=d1, d2=d2,
-                               scale=x.scale * y.scale)
-        self._check_domains(x.is_ntt, y.is_ntt)
-        basis = x.basis
-        q_col = basis.q_col
-        limbs = len(basis)
-        # One stacked product yields [d0; d2]; d1 is the cross term.
-        outer = x.pair() * y.pair() % _pair_col(q_col)
-        d1 = (x.c0.data * y.c1.data % q_col
-              + x.c1.data * y.c0.data % q_col) % q_col
-        return Ciphertext3(
-            d0=RnsPolynomial(basis, outer[:limbs], is_ntt=x.is_ntt),
-            d1=RnsPolynomial(basis, d1, is_ntt=x.is_ntt),
-            d2=RnsPolynomial(basis, outer[limbs:], is_ntt=x.is_ntt),
-            scale=x.scale * y.scale)
+        d0 = x.c0.pointwise_mul(y.c0)
+        d1 = x.c0.pointwise_mul(y.c1) + x.c1.pointwise_mul(y.c0)
+        d2 = x.c1.pointwise_mul(y.c1)
+        return Ciphertext3(d0=d0, d1=d1, d2=d2, scale=x.scale * y.scale)
 
     def relinearize(self, ct3: Ciphertext3, *,
                     out_cls: type | None = None) -> Ciphertext:
         if self.keys.relin is None:
             raise ValueError("no relinearization key in the key chain")
         cls = out_cls or Ciphertext
-        if not self.stacked:
-            ks0, ks1 = self.key_switch(ct3.d2.to_coeff(), self.keys.relin)
-            return cls(c0=ct3.d0 + ks0, c1=ct3.d1 + ks1,
-                       scale=ct3.scale)
-        self._check_domains(ct3.d0.is_ntt, True)
-        d2 = ct3.d2
-        ks, q_basis = self._key_switch_batch(
-            d2.to_coeff().data, self.keys.relin, len(d2.basis) - 1, 1,
-            ntt_rows=d2.data if d2.is_ntt else None)
-        d01 = np.concatenate([ct3.d0.data, ct3.d1.data])
-        out = (d01 + ks) % _pair_col(q_basis.q_col)
-        return cls.from_pair(q_basis, out, ct3.scale, is_ntt=True)
+        ks0, ks1 = self.key_switch(ct3.d2.to_coeff(), self.keys.relin)
+        return cls(c0=ct3.d0 + ks0, c1=ct3.d1 + ks1, scale=ct3.scale)
 
     def multiply(self, x: Ciphertext, y: Ciphertext) -> Ciphertext:
-        """HMULT with relinearization; caller rescales when ready."""
-        return self.relinearize(self.multiply_no_relin(x, y),
-                                out_cls=type(x))
+        """HMULT with relinearization; caller rescales when ready.
+
+        The stacked path is :meth:`batch_multiply` at ``k = 1``; the
+        reference path is :meth:`multiply_no_relin` then
+        :meth:`relinearize`.  Both take the product scale from
+        :meth:`_mul_scale`."""
+        x, y = self._align(x, y)
+        if self.stacked:
+            return self.batch_multiply(_as_batch(x),
+                                       _as_batch(y)).split()[0]
+        out = self.relinearize(self.multiply_no_relin(x, y),
+                               out_cls=type(x))
+        out.scale = self._mul_scale(x.scale, y.scale)
+        return out
 
     def square(self, ct: Ciphertext) -> Ciphertext:
         return self.multiply(ct, ct)
@@ -955,9 +848,9 @@ class RnsEvaluatorBase:
                             c1=ct.c1.mul_scalar(value), scale=scale)
         value = int(value)
         basis = ct.basis
-        s_col = np.array([value % p for p in basis.primes],
+        s_col = np.array([value % p for p in basis.primes] * 2,
                          dtype=np.int64).reshape(-1, 1)
-        pair = ct.pair() * _pair_col(s_col) % _pair_col(basis.q_col)
+        pair = ct.pair() * s_col % _batch_q_col(basis, 2)
         return type(ct).from_pair(basis, pair, scale, is_ntt=ct.is_ntt)
 
     def multiply_int(self, ct: Ciphertext, value: int) -> Ciphertext:
@@ -1043,7 +936,7 @@ class RnsEvaluatorBase:
         ``forward(inverse(x)) == x`` bitwise — and only the extended
         rows go through forward NTTs, one ``(k*(E-alpha), N)``
         single-chain transform per digit so each call rides the
-        deduped tile-wise engine (and its cache blocking) instead of a
+        collapsed tile-wise engine (and its cache blocking) instead of a
         ``k*beta``-chain row gather.
         """
         ctx = self.context
@@ -1072,8 +965,7 @@ class RnsEvaluatorBase:
                                   (i * beta + j + 1) * ext_limbs]
                     block[lo:hi] = data[i * l1 + lo:i * l1 + hi]
                     block[miss_idx] = conv[i * miss:(i + 1) * miss]
-            engine = stacked_engine(ctx.n, (ext,) * (beta * k),
-                                    dedupe=True)
+            engine = stacked_engine(ctx.n, (ext,) * (beta * k))
             return engine.forward(coeff, assume_reduced=True)
         lifted = np.empty((k * beta * ext_limbs, n), dtype=np.int64)
         for j in range(beta):
@@ -1085,8 +977,7 @@ class RnsEvaluatorBase:
             missing = RnsBasis([p for p in ext.primes if p not in primes])
             conv = base_convert_stack(digit_stack,
                                       RnsBasis(primes), missing, k)
-            conv = stacked_engine(ctx.n, (missing.primes,) * k,
-                                  dedupe=True).forward(
+            conv = stacked_engine(ctx.n, (missing.primes,) * k).forward(
                 conv, assume_reduced=True)
             # The digit keeps a contiguous band ext[lo:hi]; its missing
             # primes are the two runs around it, in ext order, so each
@@ -1175,7 +1066,8 @@ class RnsEvaluatorBase:
         linearity.  Input is the ct-major accumulator stack from
         :meth:`_key_mac_batch`; output is the ct-major ``(2k*(l+1),
         N)`` pair stack (a :class:`CiphertextBatch` stack layout).
-        BGV overrides this (and :meth:`_mod_down_pair`) with the exact
+        The P -> Q conversion is the :meth:`_mod_down_correction` hook,
+        which BGV overrides (with :meth:`_mod_down_pair`) by the exact
         ``t``-corrected variant."""
         n = self.context.n
         p_basis = self.context.p_basis
@@ -1184,12 +1076,10 @@ class RnsEvaluatorBase:
         a4 = acc.reshape(k, 2, ext_limbs, n)
         acc_p = np.ascontiguousarray(a4[:, :, l1:, :]).reshape(
             2 * k * (ext_limbs - l1), n)
-        coeff_p = stacked_engine(n, (p_basis,) * (2 * k),
-                                 dedupe=True).inverse(
+        coeff_p = stacked_engine(n, (p_basis,) * (2 * k)).inverse(
             acc_p, assume_reduced=True)
-        corr = base_convert_stack(coeff_p, p_basis, q_basis, 2 * k)
-        corr_ntt = stacked_engine(n, (q_basis,) * (2 * k),
-                                  dedupe=True).forward(
+        corr = self._mod_down_correction(coeff_p, q_basis, 2 * k)
+        corr_ntt = stacked_engine(n, (q_basis,) * (2 * k)).forward(
             corr, assume_reduced=True)
         # Subtract the strided Q-rows straight into the correction
         # stack and reduce in place: no contiguous copy of acc_q and no
@@ -1200,6 +1090,12 @@ class RnsEvaluatorBase:
         qk_col = _batch_q_col(q_basis, 2 * k)
         return _scale_by_inv_batch(corr_ntt, p_basis.modulus, q_basis,
                                    qk_col, 2 * k)
+
+    def _mod_down_correction(self, coeff_p: np.ndarray, q_basis: RnsBasis,
+                             k: int) -> np.ndarray:
+        """The ModDown correction of ``k`` stacked coefficient-domain
+        ``[acc]_P`` polynomials, over ``q_basis``: one fast BConv."""
+        return base_convert_stack(coeff_p, self.context.p_basis, q_basis, k)
 
     # -- legacy key-switch internals (the differential reference) ------
     def _mod_down_pair(self, acc0: RnsPolynomial, acc1: RnsPolynomial,
@@ -1331,21 +1227,22 @@ class RnsEvaluatorBase:
         ``mod t`` factor product."""
         return sx * sy
 
-    def _check_batch(self, x: CiphertextBatch,
-                     y: CiphertextBatch) -> None:
+    def _check_batch(self, x: CiphertextBatch, y: CiphertextBatch, *,
+                     same_scales: bool) -> None:
         if x.basis != y.basis:
             raise ValueError("batch basis mismatch; drop levels before "
                              "batching")
         if x.k != y.k:
             raise ValueError(f"batch width mismatch: {x.k} vs {y.k}")
         self._check_domains(x.is_ntt, y.is_ntt)
-        for sa, sb in zip(x.scales, y.scales):
-            self._check_scales(sa, sb)
+        if same_scales:
+            for sa, sb in zip(x.scales, y.scales):
+                self._check_scales(sa, sb)
 
     def batch_add(self, x: CiphertextBatch,
                   y: CiphertextBatch) -> CiphertextBatch:
         """Add ``k`` ciphertext pairs in one ``(2k*L, N)`` kernel."""
-        self._check_batch(x, y)
+        self._check_batch(x, y, same_scales=True)
         stack = (x.stack + y.stack) % _batch_q_col(x.basis, 2 * x.k)
         return CiphertextBatch(basis=x.basis, stack=stack,
                                scales=list(x.scales), is_ntt=x.is_ntt,
@@ -1354,7 +1251,7 @@ class RnsEvaluatorBase:
     def batch_sub(self, x: CiphertextBatch,
                   y: CiphertextBatch) -> CiphertextBatch:
         """Subtract ``k`` ciphertext pairs in one wide kernel."""
-        self._check_batch(x, y)
+        self._check_batch(x, y, same_scales=True)
         stack = (x.stack - y.stack) % _batch_q_col(x.basis, 2 * x.k)
         return CiphertextBatch(basis=x.basis, stack=stack,
                                scales=list(x.scales), is_ntt=x.is_ntt,
@@ -1390,7 +1287,7 @@ class RnsEvaluatorBase:
         ``k``-wide key switch of all ``d2`` terms."""
         if self.keys.relin is None:
             raise ValueError("no relinearization key in the key chain")
-        self._check_batch(x, y)
+        self._check_batch(x, y, same_scales=False)
         self._check_domains(x.is_ntt, True)
         basis = x.basis
         q_col = basis.q_col
@@ -1407,7 +1304,7 @@ class RnsEvaluatorBase:
         outer = np.empty_like(x.stack)
         outer4 = outer.reshape(k, 2, limbs, n)
         d1 = np.empty((k, limbs, n), dtype=np.int64)
-        pair_col = _pair_col(q_col)
+        pair_col = _batch_q_col(basis, 2)
         tmp_d1 = scratch("bmul_d1", (limbs, n))
         for i in range(k):
             lo = 2 * i * limbs
@@ -1422,8 +1319,7 @@ class RnsEvaluatorBase:
                        tmp_d1)
         release_scratch("bmul_d1", (limbs, n))
         d2 = np.ascontiguousarray(outer4[:, 1]).reshape(k * limbs, n)
-        d2_coeff = self.kernels.engine((basis,) * k,
-                                       dedupe=True).inverse(
+        d2_coeff = stacked_engine(n, (basis,) * k).inverse(
             d2, assume_reduced=True)
         ks, q_basis = self._key_switch_batch(d2_coeff, self.keys.relin,
                                              x.level, k, ntt_rows=d2)
@@ -1442,6 +1338,69 @@ class RnsEvaluatorBase:
                   for sa, sb in zip(x.scales, y.scales)]
         return CiphertextBatch(basis=q_basis, stack=out, scales=scales,
                                is_ntt=True, ct_cls=x.ct_cls)
+
+    def switch_down_ntt(self, stack: np.ndarray, basis: RnsBasis,
+                        k: int, *, delta_fn=None
+                        ) -> tuple[np.ndarray, RnsBasis]:
+        """Drop the last limb of ``k`` stacked NTT-domain polynomials.
+
+        The modulus-switch dataflow the IR lowering emits: only the
+        dropped limb of each polynomial is iNTT'd (k rows), its
+        (optionally corrected) centred re-reductions are NTT'd back,
+        and the subtract + ``q_last^-1`` scaling fold in the NTT
+        domain — bitwise identical to the coefficient round trip
+        because the NTT is Z_q-linear and commutes with per-limb
+        constants.  CKKS :meth:`batch_rescale` and BGV
+        :meth:`batch_mod_switch` share it.
+
+        ``delta_fn`` maps the centred dropped rows ``(k, N)`` to the
+        integer correction actually subtracted: ``None`` (identity) is
+        the CKKS rescale; BGV passes the lift to a multiple of ``t``.
+        The reductions stay division-free where the input allows it
+        (identity correction below every kept prime; all primes under
+        ``2^31``).
+        """
+        limbs = len(basis)
+        if limbs < 2:
+            raise ValueError("cannot rescale a single-limb polynomial")
+        if stack.shape[0] != k * limbs:
+            raise ValueError(
+                f"expected a {k * limbs}-row stack, got {stack.shape[0]}")
+        q_last = basis.primes[-1]
+        new_basis = basis.prefix(limbs - 1)
+        n = stack.shape[1]
+        last = np.concatenate(
+            [stack[i * limbs + limbs - 1:(i + 1) * limbs]
+             for i in range(k)])
+        last_coeff = stacked_engine(n, ((q_last,),) * k).inverse(
+            last, assume_reduced=True)
+        centred = np.where(last_coeff > q_last // 2,
+                           last_coeff - q_last, last_coeff)
+        delta = centred if delta_fn is None else delta_fn(centred)
+        if delta_fn is None and q_last // 2 < min(new_basis.primes):
+            # Rescale: |delta| <= q_last/2 < every q_j, so
+            # ``delta + q_j`` already sits in (0, 2q) and one
+            # conditional subtract replaces the broadcast division —
+            # the identical canonical residue.
+            corr = np.add(delta[:, None, :], new_basis.q_col)
+            corr = corr.reshape(k * (limbs - 1), n)
+            tmp = scratch("sdn_c", corr.shape)
+            _csub_into(corr.view(np.uint64),
+                       _batch_q_col(new_basis, k).view(np.uint64), tmp)
+            release_scratch("sdn_c", corr.shape)
+        else:
+            corr = (delta[:, None, :] % new_basis.q_col).reshape(
+                k * (limbs - 1), n)
+        corr_ntt = stacked_engine(n, (new_basis,) * k).forward(
+            corr, assume_reduced=True)
+        acc = np.concatenate(
+            [stack[i * limbs:(i + 1) * limbs - 1] for i in range(k)])
+        # Both operands were canonical, so the difference sits in
+        # (-q, q), the input range of the shared scaling tail.
+        acc -= corr_ntt
+        return _scale_by_inv_batch(acc, q_last, new_basis,
+                                   _batch_q_col(new_basis, k),
+                                   k), new_basis
 
     def batch_key_switch(self, stack: np.ndarray, basis: RnsBasis,
                          key: SwitchingKey,
@@ -1483,13 +1442,11 @@ class RnsEvaluatorBase:
         k = batch.k
         n = batch.n
         # One gather rotates all 2k halves at once.
-        r_stack = self.kernels.engine(
-            (basis,) * (2 * k), dedupe=True).automorphism_ntt(
+        r_stack = stacked_engine(n, (basis,) * (2 * k)).automorphism_ntt(
             batch.stack, galois_elt)
         r4 = r_stack.reshape(k, 2, limbs, n)
         rc1 = np.ascontiguousarray(r4[:, 1]).reshape(k * limbs, n)
-        c1_coeff = self.kernels.engine((basis,) * k,
-                                       dedupe=True).inverse(
+        c1_coeff = stacked_engine(n, (basis,) * k).inverse(
             rc1, assume_reduced=True)
         ks, _ = self._key_switch_batch(c1_coeff, key, batch.level, k,
                                        ntt_rows=rc1)
@@ -1527,8 +1484,8 @@ class RnsEvaluatorBase:
         b4 = batch.stack.reshape(k, 2, limbs, n)
         c0_stack = np.ascontiguousarray(b4[:, 0]).reshape(k * limbs, n)
         c1_stack = np.ascontiguousarray(b4[:, 1]).reshape(k * limbs, n)
-        base_engine = self.kernels.engine((basis,) * k, dedupe=True)
-        ext_engine = self.kernels.engine((ext,) * (2 * k), dedupe=True)
+        base_engine = stacked_engine(n, (basis,) * k)
+        ext_engine = stacked_engine(n, (ext,) * (2 * k))
         lifted: np.ndarray | None = None
         out: dict[int, CiphertextBatch] = {}
         for step in steps:

@@ -1,5 +1,7 @@
 """The batching planner: grouping, ordering, row caps, telemetry,
-and the ``REPRO_BATCH_MAX_ROWS`` knob."""
+the ``REPRO_BATCH_MAX_ROWS`` knob, every scheme's batch ops against
+the sequential ``stacked=False`` reference, and the typed error for
+ops a scheme lacks."""
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from repro.batch import (
     execute_batched,
 )
 from repro.obs import TRACER
+from repro.rns.poly import RnsPolynomial
+from repro.schemes.bfv import BfvContext, BfvEvaluator, BfvParams, BfvScheme
+from repro.schemes.bgv import BgvContext, BgvEvaluator, BgvParams, BgvScheme
 from repro.schemes.ckks import (
     CkksContext,
     CkksEvaluator,
@@ -18,6 +23,7 @@ from repro.schemes.ckks import (
     Encryptor,
     KeyGenerator,
 )
+from repro.schemes.rns_core import Plaintext
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +156,120 @@ def test_env_knob_bounds_fusion(ckks, monkeypatch):
     results = execute_batched(ev, reqs)
     for got, ct in zip(results, cts[:3]):
         assert np.array_equal(got.pair(), ev.negate(ct).pair())
+
+
+# ----------------------------------------------------------------------
+# Every scheme x every op it supports: batched == sequential, bitwise
+# ----------------------------------------------------------------------
+def _small_ckks():
+    """CKKS instance: evaluator, ``stacked=False`` reference sharing its
+    keys, four encryptions and a plaintext."""
+    params = CkksParams(n=2 ** 6, levels=3, dnum=2, scale_bits=25,
+                        q0_bits=29, p_bits=30, seed=99)
+    ctx = CkksContext(params)
+    keygen = KeyGenerator(ctx)
+    sk = keygen.gen_secret()
+    keys = keygen.gen_keychain(sk, rotations=[1, 3])
+    enc = Encryptor(ctx, keygen.gen_public(sk))
+    rng = np.random.default_rng(99)
+    cts = [enc.encrypt(ctx.encode(rng.uniform(-1, 1, params.slots)))
+           for _ in range(4)]
+    pt = ctx.encode(rng.uniform(-1, 1, params.slots))
+    ref = CkksEvaluator(ctx, keys, stacked=False)
+    return CkksEvaluator(ctx, keys), ref, cts, pt, None
+
+
+def _small_exact(scheme_cls, ctx, ev_cls):
+    """BGV/BFV instance: as :func:`_small_ckks`, plus the scheme, secret
+    key and slot values for decryption checks."""
+    scheme = scheme_cls(ctx)
+    sk = scheme.gen_secret()
+    scheme.gen_relin(sk)
+    for step in (1, 3):
+        scheme.ev.keys.galois[step] = scheme.keygen.gen_galois(step, sk)
+    rng = np.random.default_rng(23)
+    slots = [rng.integers(0, ctx.t, ctx.n) for _ in range(4)]
+    cts = [scheme.encrypt(x, sk) for x in slots]
+    m = RnsPolynomial.from_small_coeffs(
+        ctx.q_full, ctx.encode(rng.integers(0, ctx.t, ctx.n))).to_ntt()
+    ref = ev_cls(ctx, scheme.ev.keys, stacked=False)
+    return scheme.ev, ref, cts, Plaintext(poly=m, scale=1.0), \
+        (scheme, sk, slots)
+
+
+def _small_bgv():
+    return _small_exact(BgvScheme, BgvContext(BgvParams(
+        n=64, q_count=4, dnum=2, seed=41)), BgvEvaluator)
+
+
+def _small_bfv():
+    return _small_exact(BfvScheme, BfvContext(BfvParams(
+        n=64, q_count=4, dnum=2, seed=43)), BfvEvaluator)
+
+
+_BUILD = {"ckks": _small_ckks, "bgv": _small_bgv, "bfv": _small_bfv}
+
+_COMMON_OPS = ("add", "sub", "negate", "multiply", "multiply_plain",
+               "rotate", "rotate_hoisted")
+#: Every op each scheme's evaluator supports.
+_SUPPORTED = {"ckks": _COMMON_OPS + ("rescale",),
+              "bgv": _COMMON_OPS + ("mod_switch",),
+              "bfv": _COMMON_OPS}
+
+
+@pytest.fixture(scope="module")
+def schemes():
+    return {name: build() for name, build in _BUILD.items()}
+
+
+def _requests(op, cts, pt):
+    """Two fusable requests for ``op`` over ``cts``."""
+    args = {"rotate": 1, "rotate_hoisted": (0, 1, 3), "multiply_plain": pt}
+    return [BatchRequest(op, cts[i], arg=cts[i + 1]
+                         if op in ("add", "sub", "multiply")
+                         else args.get(op))
+            for i in (0, 2)]
+
+
+@pytest.mark.parametrize("name, op", [
+    (name, op) for name, ops in _SUPPORTED.items() for op in ops])
+def test_execute_batched_matches_sequential_every_scheme(schemes, name,
+                                                         op):
+    ev, ref, cts, pt, exact = schemes[name]
+    reqs = _requests(op, cts, pt)
+    results = execute_batched(ev, reqs)
+    for got, req in zip(results, reqs):
+        args = () if req.arg is None else (req.arg,)
+        want = getattr(ref, op)(req.ct, *args)
+        if op == "rotate_hoisted":
+            assert set(got) == set(want)
+            pairs = [(got[s], want[s]) for s in want]
+        else:
+            pairs = [(got, want)]
+        for g, w in pairs:
+            assert g.basis == w.basis
+            assert np.array_equal(g.pair(), w.pair()), f"{name} {op}"
+            assert g.scale == w.scale
+    if name == "bfv" and op == "multiply":
+        scheme, sk, slots = exact
+        t = scheme.ctx.t
+        for got, i in zip(results, (0, 2)):
+            assert np.array_equal(scheme.decrypt(got, sk),
+                                  slots[i] * slots[i + 1] % t)
+
+
+@pytest.mark.parametrize("name, op", [("ckks", "mod_switch"),
+                                      ("bgv", "rescale"),
+                                      ("bfv", "rescale"),
+                                      ("bfv", "mod_switch")])
+def test_execute_batched_rejects_unsupported_op_up_front(schemes, name, op,
+                                                         monkeypatch):
+    ev, _, cts, _, _ = schemes[name]
+    ran = []
+    monkeypatch.setattr(ev, "batch_negate",
+                        lambda batch: ran.append(batch) or batch)
+    reqs = [BatchRequest("negate", cts[0]), BatchRequest(op, cts[1])]
+    with pytest.raises(ValueError,
+                       match=f"{type(ev).__name__}.*'{op}'"):
+        execute_batched(ev, reqs)
+    assert not ran, "a group ran before the unsupported op was rejected"

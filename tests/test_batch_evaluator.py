@@ -1,8 +1,8 @@
 """Cross-ciphertext k-way batching: bitwise equality vs a sequential
 per-ciphertext loop over the per-polynomial reference evaluator
 (``stacked=False``, sharing the batch evaluator's keys), for every
-batch op, k in {1, 2, 3, 8}, several levels, CKKS and BGV; plus golden
-digests and cache-bound checks.
+batch op, k in {1, 2, 3, 8}, several levels, CKKS, BGV and BFV; plus
+golden digests and cache-bound checks.
 
 The stacked single-ciphertext ops are themselves ``k = 1`` calls into
 the batch kernels, so only the ``stacked=False`` path is an independent
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.nttmath.batched import clear_caches, plan_cache_size
+from repro.schemes.bfv import BfvContext, BfvEvaluator, BfvParams, BfvScheme
 from repro.schemes.bgv import BgvContext, BgvEvaluator, BgvParams, BgvScheme
 from repro.schemes.ckks import (
     CkksContext,
@@ -29,7 +30,7 @@ ROTS = [1, 3]
 
 
 # ----------------------------------------------------------------------
-# Fixtures: one small CKKS and one small BGV instance
+# Fixtures: one small CKKS, BGV and BFV instance each
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def ckks():
@@ -65,6 +66,21 @@ def bgv():
     cts = [scheme.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
            for _ in range(max(KS))]
     ref = BgvEvaluator(ctx, scheme.ev.keys, stacked=False)
+    return ctx, scheme.ev, ref, cts
+
+
+@pytest.fixture(scope="module")
+def bfv():
+    ctx = BfvContext(BfvParams(n=64, q_count=4, dnum=2, seed=17))
+    scheme = BfvScheme(ctx)
+    sk = scheme.gen_secret()
+    scheme.gen_relin(sk)
+    for step in ROTS:
+        scheme.gen_galois(step, sk)
+    rng = np.random.default_rng(11)
+    cts = [scheme.encrypt(rng.integers(0, ctx.t, ctx.n), sk)
+           for _ in range(max(KS))]
+    ref = BfvEvaluator(ctx, scheme.ev.keys, stacked=False)
     return ctx, scheme.ev, ref, cts
 
 
@@ -211,6 +227,26 @@ def test_bgv_multiply_mod_switch_match_sequential(bgv, k, times):
     _assert_batch_equals(
         ev.batch_mod_switch(prod, times=times),
         [ref.mod_switch(ct, times=times) for ct in want])
+
+
+# ----------------------------------------------------------------------
+# BFV: the scale-invariant tensor through the batch kernels
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("k", KS)
+def test_bfv_ops_match_sequential(bfv, k):
+    _, ev, ref, cts = bfv
+    members = cts[:k]
+    batch = CiphertextBatch.from_ciphertexts(members)
+    other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
+    _assert_batch_equals(
+        ev.batch_multiply(batch, other),
+        [ref.multiply(x, y) for x, y in zip(members, reversed(members))])
+    _assert_batch_equals(
+        ev.batch_add(batch, other),
+        [ref.add(x, y) for x, y in zip(members, reversed(members))])
+    for step in ROTS:
+        _assert_batch_equals(ev.batch_rotate(batch, step),
+                             [ref.rotate(ct, step) for ct in members])
 
 
 # ----------------------------------------------------------------------

@@ -122,29 +122,22 @@ def test_bconv_weight_cache_cleared_with_plans():
 
 
 def test_stacked_plan_dedupes_repeated_bases():
-    """With ``dedupe=True`` (the cross-ciphertext batch path), k
-    ciphertexts on one chain share the donor plan: no k copies of the
-    twiddle rows, and no per-k cache entries — the plan's memory
-    footprint (and the cache size) is independent of k."""
+    """k ciphertexts on one chain always share the donor plan: no k
+    copies of the twiddle rows, and no per-k cache entries — the plan's
+    memory footprint (and the cache size) is independent of k."""
     from repro.nttmath.batched import get_stacked_plan
 
     clear_caches()
     donor = get_plan(N, PRIMES)
     baseline = plan_cache_size()
     for k in (1, 2, 3, 8, 16):
-        plan = get_stacked_plan(N, (PRIMES,) * k, dedupe=True)
+        plan = get_stacked_plan(N, (PRIMES,) * k)
         assert plan is donor
         assert plan.primes == PRIMES
     assert plan_cache_size() == baseline
-    # Without the opt-in, repeated chains keep the dedicated
-    # row-gathered engine (the established pair/digit-stack layout);
-    # each distinct stack is one cached plan.
-    pair = get_stacked_plan(N, (PRIMES, PRIMES))
-    assert pair is not donor
-    assert pair is get_stacked_plan(N, (PRIMES, PRIMES))
-    assert plan_cache_size() == baseline + 1
-    # Mixed chains materialize a gathered engine even under dedupe.
-    mixed = get_stacked_plan(N, (PRIMES, PRIMES[:2]), dedupe=True)
+    # Mixed chains materialize one cached row-gathered engine.
+    mixed = get_stacked_plan(N, (PRIMES, PRIMES[:2]))
     assert mixed is not donor
+    assert mixed is get_stacked_plan(N, (PRIMES, PRIMES[:2]))
     assert mixed.primes == PRIMES + PRIMES[:2]
-    assert plan_cache_size() == baseline + 2
+    assert plan_cache_size() == baseline + 1

@@ -33,11 +33,7 @@ from repro.schemes.bfv import BfvContext, BfvParams, BfvScheme
 from repro.schemes.bgv import BgvContext, BgvParams, BgvScheme
 from repro.schemes.ckks import CkksEvaluator
 from repro.rns.poly import RnsPolynomial
-from repro.schemes.rns_core import (
-    Ciphertext,
-    RnsEvaluatorBase,
-    StackedKernels,
-)
+from repro.schemes.rns_core import Ciphertext, RnsEvaluatorBase
 from repro.schemes.toy import (
     ToyBfvContext,
     ToyBfvParams,
@@ -84,17 +80,17 @@ def test_all_schemes_share_the_base():
     assert issubclass(BgvEvaluator, RnsEvaluatorBase)
 
 
-def test_switch_down_ntt_rejects_bad_stack():
+def test_switch_down_ntt_rejects_bad_stack(ckks_small):
     from repro.nttmath.primes import find_ntt_primes
     from repro.rns.basis import RnsBasis
 
-    kern = StackedKernels(8)
+    ev = ckks_small.ev
     basis = RnsBasis(find_ntt_primes(20, 8, 2))
     with pytest.raises(ValueError, match="row"):
-        kern.switch_down_ntt(np.zeros((3, 8), dtype=np.int64), basis, 2)
+        ev.switch_down_ntt(np.zeros((3, 8), dtype=np.int64), basis, 2)
     single = RnsBasis(basis.primes[:1])
     with pytest.raises(ValueError, match="single-limb"):
-        kern.switch_down_ntt(np.zeros((2, 8), dtype=np.int64), single, 2)
+        ev.switch_down_ntt(np.zeros((2, 8), dtype=np.int64), single, 2)
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +227,9 @@ def _assert_inputs_survive(op, *cts) -> None:
 
 
 CKKS_OPS = {
+    "add": lambda ev, pt, x, y: ev.add(x, y),
+    "sub": lambda ev, pt, x, y: ev.sub(x, y),
+    "negate": lambda ev, pt, x, y: ev.negate(x),
     "rotate": lambda ev, pt, x, y: ev.rotate(x, 1),
     "conjugate": lambda ev, pt, x, y: ev.conjugate(x),
     "rotate_hoisted": lambda ev, pt, x, y: ev.rotate_hoisted(x, [0, 1, 2]),

@@ -128,6 +128,9 @@ def test_multiply_relin_rescale_bitwise(ckks_small, legacy, rng):
         prod_s = ev.multiply(x, y)
         prod_l = legacy.multiply(x, y)
         _assert_same(prod_s, prod_l, f"multiply@{level}")
+        # The two-step API against the fused batch kernel.
+        _assert_same(ev.relinearize(t3s, out_cls=type(x)), prod_s,
+                     f"relinearize(multiply_no_relin)@{level}")
         if level >= 1:
             _assert_same(ev.rescale(prod_s), legacy.rescale(prod_l),
                          f"rescale@{level}")
@@ -240,25 +243,26 @@ def test_stacked_transform_mixed_bases(ckks_small, rng):
 
 
 def test_stacked_plan_reuses_donor_tables(ckks_small):
-    """Repeated identical chains collapse onto the union-chain plan
-    under ``dedupe=True`` (the batch path) — tile-wise transforms
-    share one set of twiddle rows.  Default calls keep the dedicated
-    row-gathered engine (the coefficient-domain rescale, ModRaise and
-    BFV tensor transforms)."""
+    """Repeated identical chains always collapse onto the union-chain
+    plan — tile-wise transforms share one set of twiddle rows.  Mixed
+    chains get a row-gathered engine whose rows are the donor's own
+    tables."""
     ctx = ckks_small.ctx
     basis = ctx.q_basis(3)
     donor = get_plan(ctx.n, basis.primes)
-    for k in (2, 3, 8):
-        plan = get_stacked_plan(ctx.n, (basis.primes,) * k, dedupe=True)
+    for k in (1, 2, 3, 8):
+        plan = get_stacked_plan(ctx.n, (basis.primes,) * k)
         assert plan is donor
         assert plan.primes == basis.primes
-    pair = get_stacked_plan(ctx.n, (basis.primes, basis.primes))
-    assert pair is not donor
-    assert pair is get_stacked_plan(ctx.n, (basis.primes, basis.primes))
-    engine = pair.ntt
-    assert engine.primes == basis.primes + basis.primes
-    assert np.array_equal(engine._psi_u[:len(basis)],
-                          donor.ntt._psi_u[:len(basis)])
+    mixed_chains = (basis.primes, basis.primes[:2])
+    mixed = get_stacked_plan(ctx.n, mixed_chains)
+    assert mixed is not donor
+    assert mixed is get_stacked_plan(ctx.n, mixed_chains)
+    engine = mixed.ntt
+    assert engine.primes == basis.primes + basis.primes[:2]
+    limbs = len(basis)
+    assert np.array_equal(engine._psi_u[:limbs], donor.ntt._psi_u)
+    assert np.array_equal(engine._psi_u[limbs:], donor.ntt._psi_u[:2])
 
 
 def test_stacked_engine_transform_and_automorphism(ckks_small, rng):
