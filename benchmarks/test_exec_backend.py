@@ -18,7 +18,7 @@ Since PR 7 ``execute_packed`` replays a precompiled
 :class:`~repro.compiler.exec_plan.ExecPlan`;
 ``test_exec_plan_speedup`` below guards the planned-replay speedup
 over the PR 6 run-vectorized interpreter, and the dblookup profile
-test pins *why* MAC fusion is executed-time neutral.
+test pins that MAC fusion saves elementwise executed time.
 
 Environment knobs: ``REPRO_BENCH_EXEC_N`` (ring degree, default 4096),
 ``REPRO_BENCH_EXEC_MIN_SPEEDUP`` (default 1.0),
@@ -160,34 +160,46 @@ def test_exec_plan_speedup():
         f"longer paying for themselves")
 
 
-def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch):
-    """MAC fusion removes instructions but not executed wall time on
-    dblookup — and the per-step profile shows why.
+def test_mac_fusion_saves_elementwise_time_on_dblookup(monkeypatch):
+    """MAC fusion removes elementwise instructions on dblookup, and the
+    per-step profile shows the elementwise wall shrink with them.
 
-    Measured on the reference runner (2026-08-07, ``n=2048``,
-    levels=7, dnum=2, 8 squarings): fusion drops 9616 -> 9120
-    instructions (-5%, all elementwise), yet executed wall is flat
-    (0.377s vs 0.374s, <1%), because the NTT-family steps
-    (ntt/intt/auto) are **66-67%** of replay wall in *both* compiles
-    and fusion touches none of them; the elementwise share it does
-    shave is ~30% and the masked merged steps already amortize those
-    rows.  The assertion pins the structural fact (NTT-family wall
-    strictly dominates elementwise wall in both compiles), not the
-    noisy ratio.
+    Fusion drops 9616 -> 9120 instructions (-5%, all elementwise) and
+    touches no NTT-family step.  With the numpy NTT kernels the
+    NTT-family steps (ntt/intt/auto) were 66-67% of replay wall in both
+    compiles, which hid the saving: executed wall was flat within 1%
+    (2026-08-07).  The native NTT kernel shrinks that family to 16-21%
+    of replay wall, so the elementwise steps dominate both compiles
+    (72-78%) and fusion's saving is visible.  Measured (2026-10-18,
+    ``n=2048``, levels=7, dnum=2, 8 squarings, 2-vCPU x86-64 host,
+    each step kind's best of 7 interleaved repeats, 5 runs):
+    elementwise 107-120 ms fused vs 115-130 ms unfused, 6-9% less.
+    Single repeats overlap by a few percent, hence the per-kind best.
+    The assertions pin bitwise-equal outputs and fused elementwise
+    wall below unfused.
     """
     lp = LoweringParams(n=2048, levels=7, dnum=2, log_q=30)
     packed = PackedProgram.from_program(
-        build_dblookup_program(lp, squarings=8, name="db-neutral"))
+        build_dblookup_program(lp, squarings=8, name="db-fusion"))
     bindings = synthesize_bindings(packed)
+    compiled = {fuse: compile_packed(packed.copy(),
+                                     CompileOptions(mac_fusion=fuse))
+                for fuse in (True, False)}
 
     results = {}
+    # Best wall per step kind over interleaved repeats, per compile.
+    best = {True: {}, False: {}}
     # The enabled tracer fills the per-step profile.
     monkeypatch.setattr(obs.TRACER, "enabled", True)
     try:
-        for fuse in (True, False):
-            compiled = compile_packed(packed.copy(),
-                                      CompileOptions(mac_fusion=fuse))
-            results[fuse] = execute_packed(compiled, bindings)
+        for fuse in (True, False):             # warm plans and kernels
+            results[fuse] = execute_packed(compiled[fuse], bindings)
+        for _ in range(7):
+            for fuse in (True, False):
+                run = execute_packed(compiled[fuse], bindings)
+                for lbl, (wall, _) in run.profile.items():
+                    best[fuse][lbl] = min(best[fuse].get(lbl, wall), wall)
+            obs.TRACER.drain()
     finally:
         obs.TRACER.drain()
     fused, plain = results[True], results[False]
@@ -198,16 +210,18 @@ def test_mac_fusion_is_executed_time_neutral_on_dblookup(monkeypatch):
         np.testing.assert_array_equal(fused.outputs[vid],
                                       plain.outputs[vid])
 
-    for label, result in (("fused", fused), ("unfused", plain)):
-        ntt_wall = sum(w for lbl, (w, _) in result.profile.items()
+    ew = {}
+    for label, fuse in (("fused", True), ("unfused", False)):
+        walls = best[fuse]
+        ew[fuse] = sum(w for lbl, w in walls.items() if lbl.startswith("mm"))
+        ntt_wall = sum(w for lbl, w in walls.items()
                        if lbl in ("ntt", "intt", "auto"))
-        ew_wall = sum(w for lbl, (w, _) in result.profile.items()
-                      if lbl.startswith("mm"))
-        total = sum(w for w, _ in result.profile.values())
-        print(f"\ndblookup {label}: {result.instructions} instrs, "
-              f"ntt-family {ntt_wall / total:.0%}, "
-              f"elementwise {ew_wall / total:.0%} of replay wall")
-        assert ntt_wall > ew_wall, (
-            f"{label}: NTT-family wall {ntt_wall:.4f}s no longer "
-            f"dominates elementwise {ew_wall:.4f}s; the MAC-fusion "
-            f"neutrality explanation does not hold")
+        total = sum(walls.values())
+        print(f"\ndblookup {label}: {results[fuse].instructions} instrs, "
+              f"elementwise {ew[fuse] * 1e3:.1f} ms "
+              f"({ew[fuse] / total:.0%}), ntt-family "
+              f"{ntt_wall / total:.0%} of replay wall")
+    assert ew[True] < ew[False], (
+        f"fused elementwise wall {ew[True]:.4f}s is not below unfused "
+        f"{ew[False]:.4f}s: the instructions MAC fusion removes no "
+        f"longer save executed time")

@@ -29,6 +29,11 @@ loops while leaving every canonical output bitwise identical to the
   pool instead of fresh 100KB+ allocations per vector op (single
   threaded, like the rest of this repository).
 
+Forward and inverse transforms run through the native C kernel of
+:mod:`repro.nttmath.native` (the same Shoup/lazy dataflow, radix-2, one
+row at a time) whenever it can be built; the numpy kernels here are its
+fallback, bitwise identical to it.
+
 :class:`BatchedPlan` bundles the engine with lazily built per-limb
 scalar kernels and is cached per ``(n, primes)`` in a bounded LRU.
 RNS-CKKS level dropping walks prefixes of one prime chain, so a plan
@@ -47,6 +52,7 @@ import numpy as np
 
 from ..core.env import env_flag
 from ..obs import TRACER
+from . import native
 from .bitrev import bit_reverse_indices
 from .ntt import NegacyclicNTT, _check_modulus
 from .primes import root_of_unity
@@ -216,8 +222,13 @@ class BatchedNTT:
         psi_inv = [pow(p, -1, q) for p, q in zip(psi, primes)]
         psi_col = np.array(psi, dtype=np.int64).reshape(-1, 1)
         psi_inv_col = np.array(psi_inv, dtype=np.int64).reshape(-1, 1)
-        self._psi_br = self._power_table(psi_col)[:, self._rev]
-        self._psi_inv_br = self._power_table(psi_inv_col)[:, self._rev]
+        # np.take keeps the tables C-contiguous (a fancy column index
+        # would return them column-major): each limb's twiddles are one
+        # contiguous run, and so are the rows of every prefix engine.
+        self._psi_br = np.take(self._power_table(psi_col), self._rev,
+                               axis=1)
+        self._psi_inv_br = np.take(self._power_table(psi_inv_col),
+                                   self._rev, axis=1)
         self.n_inv_col = np.array([pow(n, -1, q) for q in primes],
                                   dtype=np.int64).reshape(-1, 1)
         self._q_u = self.q_col.astype(np.uint64)
@@ -246,6 +257,10 @@ class BatchedNTT:
         # up to 4q still land in [0, 2q)), which needs q < 2^30.  Wider
         # moduli take the plain radix-2 path with per-stage reduction.
         self._fused = max(q.bit_length() for q in primes) <= 30
+        # Per-limb scalars packed the way the native kernel reads them.
+        self._consts = np.hstack((self._q_u, self._n_inv_u,
+                                  self._n_inv_sh, self._fold1_u,
+                                  self._fold1_sh))
         # Permutation caches shared with prefix-derived engines: they
         # depend only on (n, galois_elt), never on the moduli.
         self._auto_ntt_idx: dict[int, np.ndarray] = {}
@@ -258,7 +273,7 @@ class BatchedNTT:
                    "_q_u", "_q2_u", "_psi_u", "_psi_inv_u", "_psi_sh",
                    "_psi_inv_sh", "_n_inv_u", "_n_inv_sh",
                    "_fold1_u", "_fold1_sh", "_fold2_u", "_fold2_sh",
-                   "_fold3_u", "_fold3_sh")
+                   "_fold3_u", "_fold3_sh", "_consts")
 
     @classmethod
     def _derived(cls, parent: "BatchedNTT", primes: tuple[int, ...],
@@ -388,6 +403,10 @@ class BatchedNTT:
         rows are canonical residues, under which the pass is the
         identity."""
         checked = self._check(data)
+        lib = native.kernel()
+        if lib is not None:
+            return self._native(lib, checked, inverse=False,
+                                reduce=not assume_reduced)
         tiles = checked.shape[0] // self.limbs
         block = self._block_tiles(tiles)
         if block >= tiles:
@@ -398,6 +417,38 @@ class BatchedNTT:
         for lo in range(0, checked.shape[0], step):
             out[lo:lo + step] = self._forward_one(
                 checked[lo:lo + step], assume_reduced=assume_reduced)
+        return out
+
+    def _native(self, lib, checked: np.ndarray, *, inverse: bool,
+                reduce: bool, scale: bool = True) -> np.ndarray:
+        """One native-kernel call over the whole ``(k*limbs, n)`` stack
+        (see :mod:`repro.nttmath.native`).  Rows are read in place
+        through their stride; the output is a fresh C-contiguous stack.
+        ``scale`` is the inverse's ``scale_by_n_inv``."""
+        tr = TRACER
+        t0 = perf_counter() if tr.enabled else 0.0
+        if checked.strides[1] != 8 or checked.strides[0] % 8:
+            checked = np.ascontiguousarray(checked)
+        rows = checked.shape[0]
+        if inverse:
+            fn, w, wsh = (lib.repro_ntt_inverse, self._psi_inv_u,
+                          self._psi_inv_sh)
+            extra, span, counter = (scale,), "ntt.inverse", "intt.rows"
+        else:
+            fn, w, wsh = lib.repro_ntt_forward, self._psi_u, self._psi_sh
+            extra, span, counter = (), "ntt.forward", "ntt.rows"
+        # The limb tables are C-contiguous by construction (prefix
+        # engines slice their rows, stacked engines gather them).
+        out = np.empty((rows, self.n), dtype=np.int64)
+        fn(out.ctypes.data, checked.ctypes.data, checked.strides[0] // 8,
+           rows, self.n, self.limbs, self._consts.ctypes.data,
+           w.ctypes.data, w.strides[0] // 8,
+           wsh.ctypes.data, wsh.strides[0] // 8, reduce, *extra)
+        if tr.enabled:
+            tr.emit(span, t0, perf_counter() - t0,
+                    {"limbs": self.limbs, "n": self.n,
+                     "tiles": rows // self.limbs, "kernel": "native"})
+            tr.count(counter, rows)
         return out
 
     def _forward_one(self, checked: np.ndarray, *,
@@ -419,7 +470,8 @@ class BatchedNTT:
         out = a.astype(np.int64).reshape(rows, self.n)
         if tr.enabled:
             tr.emit("ntt.forward", t0, perf_counter() - t0,
-                    {"limbs": self.limbs, "n": self.n, "tiles": tiles})
+                    {"limbs": self.limbs, "n": self.n, "tiles": tiles,
+                     "kernel": "numpy"})
             tr.count("ntt.rows", rows)
         return out
 
@@ -555,6 +607,11 @@ class BatchedNTT:
         for callers whose rows are already canonical residues.
         """
         checked = self._check(data)
+        lib = native.kernel()
+        if lib is not None:
+            return self._native(lib, checked, inverse=True,
+                                reduce=not assume_reduced,
+                                scale=scale_by_n_inv)
         tiles = checked.shape[0] // self.limbs
         block = self._block_tiles(tiles)
         if block >= tiles:
@@ -590,7 +647,8 @@ class BatchedNTT:
         out = a.astype(np.int64).reshape(rows, self.n)
         if tr.enabled:
             tr.emit("ntt.inverse", t0, perf_counter() - t0,
-                    {"limbs": self.limbs, "n": self.n, "tiles": tiles})
+                    {"limbs": self.limbs, "n": self.n, "tiles": tiles,
+                     "kernel": "numpy"})
             tr.count("intt.rows", rows)
         return out
 

@@ -89,6 +89,20 @@ from ..rns.poly import (
 
 _SCALE_TOLERANCE = 1e-6
 
+#: Bytes of ``(beta*E, N)`` digit stack per ciphertext block in the
+#: batched key switch: :meth:`RnsEvaluatorBase._key_switch_batch` and
+#: each step of :meth:`RnsEvaluatorBase.batch_rotate_hoisted` lift (or
+#: gather), MAC and ModDown whole ciphertexts a block at a time, so each
+#: slab is still cache-resident when the next kernel reads it.  One wide
+#: ``k``-ciphertext pass outgrows the caches at ``N = 4096`` and loses
+#: to ``k`` separate calls; small rings still fuse all ``k`` at once.
+_KS_BLOCK_BYTES = 1 << 20
+
+
+def _ks_block(beta: int, ext_limbs: int, n: int, k: int) -> int:
+    """Ciphertexts per key-switch block (see :data:`_KS_BLOCK_BYTES`)."""
+    return min(k, max(1, _KS_BLOCK_BYTES // (beta * ext_limbs * n * 8)))
+
 
 #: Upper bound on cached tiled constant columns; evicted LRU so a
 #: service cycling through many (basis, k) batch shapes cannot grow the
@@ -909,10 +923,25 @@ class RnsEvaluatorBase:
         carries the NTT-domain rows ``data`` was iNTT'd from (same
         layout), letting the lift skip re-transforming kept rows.
         Row slices are bitwise identical to ``k`` separate ``k = 1``
-        key switches and to the per-polynomial reference."""
+        key switches and to the per-polynomial reference, so stacks
+        wider than one cache block (:data:`_KS_BLOCK_BYTES`) run block
+        by block."""
         ctx = self.context
         ext = ctx.ext_basis(level)
         beta = ctx.num_digits(level)
+        n = data.shape[1]
+        kc = _ks_block(beta, len(ext), n, k)
+        if kc < k:
+            l1 = level + 1
+            out = np.empty((2 * k * l1, n), dtype=np.int64)
+            for lo in range(0, k, kc):
+                kk = min(kc, k - lo)
+                rows = slice(lo * l1, (lo + kk) * l1)
+                part, q_basis = self._key_switch_batch(
+                    data[rows], key, level, kk,
+                    ntt_rows=None if ntt_rows is None else ntt_rows[rows])
+                out[2 * lo * l1:2 * (lo + kk) * l1] = part
+            return out, q_basis
         lifted = self._lift_digits_batch(data, level, ext, beta, k,
                                          ntt_rows=ntt_rows)
         acc = self._key_mac_batch(lifted, key, level, beta, ext, k)
@@ -1464,13 +1493,18 @@ class RnsEvaluatorBase:
     def batch_rotate_hoisted(self, batch: CiphertextBatch,
                              steps) -> dict[int, CiphertextBatch]:
         """Rotate ``k`` ciphertexts by many steps, decomposing every
-        ``c1`` once: the ``k`` digit lifts fuse into one
-        ``(k*beta*E, N)`` transform, and each step costs one wide
-        digit-stack gather plus one ``k``-fused MAC + ModDown — the
+        ``c1`` once: the digit lifts of a block of ciphertexts fuse
+        into one ``(kk*beta*E, N)`` transform, and each step costs a
+        digit-stack gather plus a MAC + ModDown over the block — the
         sequential hoisting dataflow with the per-ciphertext loop
-        folded into each kernel.  The per-step gather and ``sigma(c0)``
-        land in buffers reused across steps, and the static key tables
-        stay cache-hot across all (step, ciphertext) MACs."""
+        folded into each kernel.
+
+        Blocks hold whole ciphertexts (:data:`_KS_BLOCK_BYTES`; all
+        ``k`` at small rings), and every step runs inside its block, so
+        the block's lifted digits, gather slab and MAC/ModDown
+        temporaries stay cache-resident across the steps instead of
+        each step streaming a ``k``-wide lift.  Blocks never interact,
+        so blocking is bitwise neutral."""
         if not batch.is_ntt:
             raise ValueError("batch rotations expect NTT-domain batches")
         ctx = self.context
@@ -1481,38 +1515,49 @@ class RnsEvaluatorBase:
         limbs = len(basis)
         k = batch.k
         n = batch.n
-        b4 = batch.stack.reshape(k, 2, limbs, n)
-        c0_stack = np.ascontiguousarray(b4[:, 0]).reshape(k * limbs, n)
-        c1_stack = np.ascontiguousarray(b4[:, 1]).reshape(k * limbs, n)
-        base_engine = stacked_engine(n, (basis,) * k)
-        ext_engine = stacked_engine(n, (ext,) * (2 * k))
-        lifted: np.ndarray | None = None
-        out: dict[int, CiphertextBatch] = {}
+        rotations = []
         for step in steps:
             if self._identity_step(step):
-                out[step] = batch.copy()
                 continue
             key = self.keys.galois.get(step)
             if key is None:
                 raise ValueError(f"no Galois key for rotation step {step}")
-            if lifted is None:
-                lifted = self._lift_digits_batch(
-                    base_engine.inverse(c1_stack, assume_reduced=True),
-                    level, ext, beta, k, ntt_rows=c1_stack)
-                rotated = np.empty_like(lifted)
-                rc0 = np.empty_like(c0_stack)
-            g = galois_element(step, ctx.n)
-            ext_engine.automorphism_ntt(lifted, g, out=rotated)
-            acc = self._key_mac_batch(rotated, key, level, beta, ext, k)
-            ks = self._mod_down_batch_stacked(acc, ext, basis, k)
-            base_engine.automorphism_ntt(c0_stack, g, out=rc0)
-            ks4 = ks.reshape(k, 2, limbs, n)
-            ks4[:, 0] += rc0.reshape(k, limbs, n)
+            rotations.append((step, galois_element(step, ctx.n), key))
+        results: dict[int, CiphertextBatch] = {}
+        if rotations:
+            b4 = batch.stack.reshape(k, 2, limbs, n)
+            c0_stack = np.ascontiguousarray(b4[:, 0]).reshape(k * limbs, n)
+            c1_stack = np.ascontiguousarray(b4[:, 1]).reshape(k * limbs, n)
+            base_engine = stacked_engine(n, (basis,))
+            ext_engine = stacked_engine(n, (ext,))
+            kc = _ks_block(beta, len(ext), n, k)
+            rotated = np.empty((kc * beta * len(ext), n), dtype=np.int64)
+            stacks = [np.empty((2 * k * limbs, n), dtype=np.int64)
+                      for _ in rotations]
+            for lo in range(0, k, kc):
+                kk = min(kc, k - lo)
+                c1_rows = c1_stack[lo * limbs:(lo + kk) * limbs]
+                digits = self._lift_digits_batch(
+                    base_engine.inverse(c1_rows, assume_reduced=True),
+                    level, ext, beta, kk, ntt_rows=c1_rows)
+                slab = rotated[:len(digits)]
+                for (_, g, key), ks in zip(rotations, stacks):
+                    ext_engine.automorphism_ntt(digits, g, out=slab)
+                    acc = self._key_mac_batch(slab, key, level, beta, ext,
+                                              kk)
+                    ks[2 * lo * limbs:2 * (lo + kk) * limbs] = \
+                        self._mod_down_batch_stacked(acc, ext, basis, kk)
+            rc0 = np.empty_like(c0_stack)
             tmp = scratch("bhoist_c", (k, limbs, n))
-            _csub_into(ks4[:, 0].view(np.uint64),
-                       basis.q_col.view(np.uint64), tmp)
+            for (step, g, _), ks in zip(rotations, stacks):
+                base_engine.automorphism_ntt(c0_stack, g, out=rc0)
+                ks4 = ks.reshape(k, 2, limbs, n)
+                ks4[:, 0] += rc0.reshape(k, limbs, n)
+                _csub_into(ks4[:, 0].view(np.uint64),
+                           basis.q_col.view(np.uint64), tmp)
+                results[step] = CiphertextBatch(
+                    basis=basis, stack=ks, scales=list(batch.scales),
+                    is_ntt=True, ct_cls=batch.ct_cls)
             release_scratch("bhoist_c", (k, limbs, n))
-            out[step] = CiphertextBatch(basis=basis, stack=ks,
-                                        scales=list(batch.scales),
-                                        is_ntt=True, ct_cls=batch.ct_cls)
-        return out
+        return {step: results[step] if step in results else batch.copy()
+                for step in steps}

@@ -161,6 +161,35 @@ def test_ckks_rotate_hoisted_matches_sequential(ckks, k, level):
         _assert_batch_equals(got[step], [w[step] for w in want])
 
 
+@pytest.mark.parametrize("block_cts", [1, 3])
+def test_ckks_key_switch_blocks_match_sequential(ckks, monkeypatch,
+                                                 block_cts):
+    """Wide key switches (relinearize, rotate, each hoisted step) run
+    in blocks of whole ciphertexts; at test ring sizes one block holds
+    all k, so shrink the budget to force 1- and 3-ciphertext blocks
+    (the last one short at k=8)."""
+    from repro.schemes import rns_core
+    ev, ref, members, batch = _ckks_at_level(ckks, 8, 2)
+    ct_bytes = (ev.context.num_digits(2) * len(ev.context.ext_basis(2))
+                * batch.n * 8)
+    stack = np.concatenate([ct.c1.to_coeff().data for ct in members])
+    fused, _ = ev.batch_key_switch(stack, batch.basis, ev.keys.relin, 8)
+    monkeypatch.setattr(rns_core, "_KS_BLOCK_BYTES",
+                        block_cts * ct_bytes)
+    blocked, _ = ev.batch_key_switch(stack, batch.basis, ev.keys.relin, 8)
+    assert np.array_equal(blocked, fused)
+    got = ev.batch_rotate_hoisted(batch, ROTS)
+    want = [ref.rotate_hoisted(ct, ROTS) for ct in members]
+    for step in ROTS:
+        _assert_batch_equals(got[step], [w[step] for w in want])
+    _assert_batch_equals(ev.batch_rotate(batch, ROTS[0]),
+                         [ref.rotate(ct, ROTS[0]) for ct in members])
+    other = CiphertextBatch.from_ciphertexts(list(reversed(members)))
+    _assert_batch_equals(
+        ev.batch_multiply(batch, other),
+        [ref.multiply(x, y) for x, y in zip(members, reversed(members))])
+
+
 @pytest.mark.parametrize("k", KS)
 def test_ckks_key_switch_matches_sequential(ckks, k):
     _, ev, ref, cts, _ = ckks

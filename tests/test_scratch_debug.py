@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.nttmath import native
 from repro.nttmath.batched import (
     SCRATCH_POISON,
     BatchedNTT,
@@ -86,13 +87,22 @@ def test_release_is_noop_outside_debug(monkeypatch):
 # ----------------------------------------------------------------------
 # Library paths that collided before the per-iteration release fixes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("bits", [30, 31])
-def test_ntt_paths_borrow_cleanly(debug_pool, bits):
-    """Forward + inverse on both kernels (fused radix-4 at <=30 bits,
-    radix-2 at 31) twice in a row.  Regression: the stage loops used to
+@pytest.mark.parametrize("bits,kernel", [
+    pytest.param(30, "native", id="30"),
+    pytest.param(31, "native", id="31"),
+    pytest.param(30, "numpy", id="numpy-30"),
+    pytest.param(31, "numpy", id="numpy-31"),
+])
+def test_ntt_paths_borrow_cleanly(debug_pool, monkeypatch, bits, kernel):
+    """Forward + inverse on every kernel (native; numpy fused radix-4 at
+    <=30 bits, numpy radix-2 at 31) twice in a row.  The native kernel
+    borrows no scratch; the numpy ids keep the fallback kernels under
+    the borrow checker.  Regression: the numpy stage loops used to
     re-borrow their half-stack slabs every iteration while live, so the
     very first 31-bit transform raised ScratchAliasError under debug,
     and any second transform raised on the never-released slabs."""
+    if kernel == "numpy":
+        monkeypatch.setattr(native, "_lib", None)
     n = 64
     primes = find_ntt_primes(bits, n, 3)
     eng = BatchedNTT(n, primes)
